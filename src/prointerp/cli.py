@@ -7,7 +7,7 @@ Subcommands::
     order        randomized one-sided Lyapunov order test
     eval         evaluate a stored realization at a matrix point
     verify       check f(A) = B for a stored realization
-    bicommutant  print the bicommutant basis of a matrix
+    bicommutant  print the power basis of {A}'' (from I/sqrt(n)) and m_max
 
 Matrix files may be JSON ({"rows": .., "cols": .., "data": [[..]]}) or
 whitespace-separated plain text; realizations are JSON objects with keys

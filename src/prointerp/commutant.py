@@ -1,10 +1,12 @@
 """Commutants, bicommutants, and membership in matrix subspaces.
 
 The commutant of A is computed as the nullspace of the matricized
-commutation operator X -> A X - X A; the bicommutant {A}'' stacks one such
-operator per commutant basis element and takes the joint nullspace.  For a
-single real matrix the bicommutant is the unital algebra generated by A,
-and its dimension is the degree of the minimal polynomial.
+commutation operator X -> A X - X A.  For a single real matrix the
+bicommutant {A}'' is the unital algebra R[A] generated by A (the double
+commutant theorem), and its dimension is the degree of the minimal
+polynomial.  It is therefore built as the Krylov power basis of A, the span
+of I, A, A^2, ..., with Arnoldi orthonormalisation in the vec (Frobenius)
+inner product, and never as the nullspace of a stacked operator.
 """
 
 from __future__ import annotations
@@ -58,31 +60,50 @@ def _commutation_operator(k: np.ndarray) -> np.ndarray:
     return kron(eye, k) - kron(k.T, eye)
 
 
-def _nullspace_basis(op: np.ndarray, n: int, tol: Tolerances) -> SubspaceBasis:
-    _, null, _ = rank_nullspace_pinv(op, tol)
-    mats = tuple(unvec(null[:, j], n, n) for j in range(null.shape[1]))
-    return SubspaceBasis(n, mats)
+def _square(a, name: str) -> np.ndarray:
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError(f"{name} needs a nonempty square matrix")
+    return a
 
 
 def commutant_basis(a, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis (in the vec inner product) of {X : A X = X A}."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError("commutant_basis needs a nonempty square matrix")
-    return _nullspace_basis(_commutation_operator(a), a.shape[0], tol)
+    a = _square(a, "commutant_basis")
+    n = a.shape[0]
+    _, null, _ = rank_nullspace_pinv(_commutation_operator(a), tol)
+    return SubspaceBasis(n, tuple(unvec(null[:, j], n, n) for j in range(null.shape[1])))
 
 
 def bicommutant_basis(a, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of {A}'' = {X : X K = K X for all K commuting with A}."""
-    a = as_matrix(a)
-    comm = commutant_basis(a, tol)
-    ops = [_commutation_operator(k) for k in comm.basis]
-    stacked = np.vstack(ops) if ops else np.zeros((0, a.shape[0] ** 2))
-    return _nullspace_basis(stacked, a.shape[0], tol)
+    """Orthonormal basis of {A}'' = R[A], the Krylov power basis of ``a``.
+
+    Arnoldi in the vec inner product: q_0 = I / sqrt(n), and each A q_k is
+    orthogonalised twice against q_0..q_k.  The basis stops at the first
+    remainder w with ||w||_F <= rank_rel * ||A q_k||_F, that is, at the
+    first power of A that depends on the lower ones, so the basis starts
+    with I / sqrt(n) and its length is the degree of the minimal
+    polynomial.  By Cayley-Hamilton it has at most n elements.
+    """
+    a = _square(a, "bicommutant_basis")
+    n = a.shape[0]
+    basis = [np.eye(n) / np.sqrt(n)]
+    for _ in range(n - 1):
+        aq = a @ basis[-1]
+        q = np.array(basis).reshape(len(basis), n * n)
+        w = aq.reshape(n * n)
+        for _ in range(2):
+            w = w - (q @ w) @ q
+        norm = np.linalg.norm(w)
+        if norm <= tol.rank_rel * np.linalg.norm(aq):
+            break
+        basis.append((w / norm).reshape(n, n))
+    return SubspaceBasis(n, tuple(basis))
 
 
 def m_max(a, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Dimension of the bicommutant of ``a`` (degree of its minimal polynomial)."""
+    """Dimension of {A}'', the degree of the minimal polynomial of ``a``:
+    the length of the power basis from :func:`bicommutant_basis`."""
     return bicommutant_basis(a, tol).dim
 
 

@@ -104,14 +104,19 @@ def block_span(lmap: LinearMatrixMap, tol: Tolerances = DEFAULT_TOL) -> Subspace
 
 
 def apply_hill(rep: HillRepresentation, v: np.ndarray) -> np.ndarray:
-    """Evaluate sum_kl H_kl C_k V C_l^T."""
+    """Evaluate sum_kl H_kl C_k V C_l^T as stack^T (H kron V) stack.
+
+    ``stack`` is :func:`coefficient_stack` of the coefficients.  Block k of
+    (H kron V) stack is sum_l H_kl V C_l^T, so it is formed from the m
+    products V C_l^T without building the mn x mn Kronecker product.
+    """
     v = as_matrix(v)
-    out = np.zeros((rep.n, rep.n))
-    h = rep.hill_matrix
-    for k, ck in enumerate(rep.coefficients):
-        for l, cl in enumerate(rep.coefficients):
-            out += h[k, l] * (ck @ v @ cl.T)
-    return out
+    n, m = rep.n, rep.m
+    if m == 0:
+        return np.zeros((n, n))
+    stack = coefficient_stack(rep.coefficients)
+    v_c = v @ stack.reshape(m, n, n)  # block l is V C_l^T
+    return stack.T @ np.tensordot(rep.hill_matrix, v_c, axes=1).reshape(m * n, n)
 
 
 def coefficient_stack(coefficients) -> np.ndarray:

@@ -114,7 +114,9 @@ def rank_nullspace_pinv(x, tol: Tolerances = DEFAULT_TOL):
     rows, cols = x.shape
     if x.size == 0:
         return 0, np.eye(cols), np.zeros((cols, rows))
-    u, s, vt = np.linalg.svd(x, full_matrices=True)
+    # The nullspace needs all of V^T, which a thin SVD already gives for
+    # tall input; only wide input needs the full (square) factors.
+    u, s, vt = np.linalg.svd(x, full_matrices=rows < cols)
     cutoff = tol.rank_rel * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     nullspace = vt[rank:].T

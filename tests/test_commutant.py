@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from prointerp.commutant import (
     m_max,
     membership,
 )
+from prointerp.matrix_kit import rank_nullspace_pinv
 
 
 def in_span(x, space):
@@ -128,3 +131,83 @@ def test_membership_zero_dimensional_space():
 def test_subspace_basis_validates_shapes():
     with pytest.raises(ValueError):
         SubspaceBasis(2, (np.zeros((3, 3)),))
+
+
+def stacked_bicommutant(a):
+    """{A}'' by its definition: the joint nullspace of X -> X K - K X over a
+    commutant basis, as orthonormal vec columns.  Reference only: the
+    stacked operator has (dim {A}') n^2 rows."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    ops = [np.kron(eye, k) - np.kron(k.T, eye) for k in commutant_basis(a).basis]
+    _, null, _ = rank_nullspace_pinv(np.vstack(ops))
+    return null
+
+
+def direct_sum(*blocks):
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n))
+    at = 0
+    for b in blocks:
+        k = b.shape[0]
+        out[at : at + k, at : at + k] = b
+        at += k
+    return out
+
+
+def jordan(lam, size):
+    return lam * np.eye(size) + np.eye(size, k=1)
+
+
+def similar(d, seed):
+    rng = np.random.default_rng(seed)
+    n = d.shape[0]
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    t = q @ np.diag(rng.uniform(1.0, 2.0, n))
+    return t @ d @ np.linalg.inv(t)
+
+
+ROTATION = np.array([[1.0, -2.0], [2.0, 1.0]])  # eigenvalues 1 +- 2i
+
+DOUBLE_COMMUTANT_CASES = [
+    ("jordan-3-2", similar(direct_sum(jordan(1.0, 3), jordan(2.0, 2)), 0), 5),
+    ("jordan-6", similar(jordan(0.7, 6), 1), 6),
+    ("derogatory", similar(direct_sum(jordan(1.0, 2), np.diag([1.0, 3.0])), 2), 3),
+    ("clustered-3x2", similar(np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]), 3), 3),
+    ("clustered-2x3", similar(np.diag([0.5, 0.5, 0.5, 2.0, 2.0, 2.0]), 4), 2),
+    ("complex-pair", similar(direct_sum(ROTATION, np.array([[3.0]])), 5), 3),
+    ("complex-pair-twice", similar(direct_sum(ROTATION, ROTATION), 6), 2),
+    ("zero", np.zeros((4, 4)), 1),
+    ("scalar", -2.5 * np.eye(5), 1),
+    ("generic", np.random.default_rng(7).standard_normal((6, 6)), 6),
+]
+
+
+@pytest.mark.parametrize(
+    "a,expected",
+    [case[1:] for case in DOUBLE_COMMUTANT_CASES],
+    ids=[case[0] for case in DOUBLE_COMMUTANT_CASES],
+)
+def test_power_basis_is_the_double_commutant(a, expected):
+    space = bicommutant_basis(a)
+    v = space.stacked_vecs()
+    n = a.shape[0]
+    np.testing.assert_allclose(v.T @ v, np.eye(space.dim), atol=1e-12)
+    np.testing.assert_allclose(space.basis[0], np.eye(n) / np.sqrt(n), atol=1e-15)
+    null = stacked_bicommutant(a)
+    assert space.dim == null.shape[1] == expected
+    assert np.linalg.norm(v @ v.T - null @ null.T) <= 1e-8
+
+
+def test_bicommutant_basis_memory_stays_small_at_n20():
+    # The stacked commutant operator at n = 20 would be 40000 x 400 (122 MiB)
+    # with a full SVD U of 11.9 GiB; the power basis holds at most n matrices.
+    a = np.random.default_rng(8).standard_normal((20, 20))
+    tracemalloc.start()
+    try:
+        space = bicommutant_basis(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 20
+    assert peak < 2**20

@@ -4,6 +4,7 @@ import pytest
 from prointerp.commutant import SubspaceBasis, bicommutant_basis, membership
 from prointerp.errors import NotStarLinearError
 from prointerp.hill import (
+    HillRepresentation,
     apply_hill,
     block_span,
     c1_diagnostic,
@@ -169,6 +170,23 @@ def test_hill_matrix_against_stacked_coefficient_form():
         v = rng.standard_normal((3, 3))
         via_stack = stack.T @ kron(rep.hill_matrix, v) @ stack
         np.testing.assert_allclose(via_stack, lmap.apply(v), atol=1e-9)
+
+
+@pytest.mark.parametrize("m", [0, 1, 4, 9])
+def test_apply_hill_matches_double_sum(m):
+    rng = np.random.default_rng(12 + m)
+    n = 3
+    cs = tuple(rng.standard_normal((n, n)) for _ in range(m))
+    g = rng.standard_normal((m, m))
+    h = g + g.T
+    v = rng.standard_normal((n, n))
+    reference = np.zeros((n, n))
+    for k in range(m):
+        for l in range(m):
+            reference += h[k, l] * (cs[k] @ v @ cs[l].T)
+    out = apply_hill(HillRepresentation(n, m, cs, h), v)
+    assert out.shape == (n, n)
+    np.testing.assert_allclose(out, reference, rtol=1e-12, atol=1e-12)
 
 
 def test_minimal_hill_transpose_map_indefinite():

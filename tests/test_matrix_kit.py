@@ -75,6 +75,21 @@ def test_rank_nullspace_pinv_on_known_rank():
     np.testing.assert_allclose(pinv @ x @ pinv, pinv, atol=1e-9)
 
 
+def test_rank_nullspace_pinv_on_tall_matrix():
+    # A full SVD would carry a 20000 x 20000 U (3.2 GB); the thin one must
+    # give the same rank, nullspace projector and pseudoinverse.
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.standard_normal((20000, 4)))
+    v, _ = np.linalg.qr(rng.standard_normal((10, 4)))
+    s = np.array([4.0, 3.0, 2.0, 1.0])
+    x = (u * s) @ v.T  # rank 4 by construction
+    rank, null, pinv = rank_nullspace_pinv(x)
+    assert rank == 4
+    assert null.shape == (10, 6)
+    np.testing.assert_allclose(null @ null.T, np.eye(10) - v @ v.T, atol=1e-12)
+    np.testing.assert_allclose(pinv, (v / s) @ u.T, atol=1e-12)
+
+
 def test_rank_nullspace_pinv_zero_matrix():
     rank, null, pinv = rank_nullspace_pinv(np.zeros((3, 4)))
     assert rank == 0

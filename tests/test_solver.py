@@ -252,3 +252,24 @@ def test_solve_round_trip_on_random_instance():
     report = solve(a, b)
     assert report.status == "solved"
     np.testing.assert_allclose(eval_matrix(report.realization, a), b, atol=1e-8)
+
+
+def test_solve_clustered_sixteen_by_four():
+    # k = 4 eigenvalues each repeated four times: n = 16 but m_max = 4.
+    # f(z) = sum_j rho_j^2 z / (z^2 + w_j^2) has state dimension 4, so the
+    # Hill size is m = 4 = m_max and the pair is feasible by construction.
+    rng = np.random.default_rng(16)
+    lam = np.repeat([0.6, 1.2, 1.9, 2.7], 4)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    t = q @ np.diag(rng.uniform(1.0, 2.0, 16))
+    t_inv = np.linalg.inv(t)
+    w, rho2 = np.array([0.8, 2.2]), np.array([1.0, 0.6])
+    f_lam = (rho2 * lam[:, None] / (lam[:, None] ** 2 + w**2)).sum(axis=1)
+    a = t @ np.diag(lam) @ t_inv
+    b = t @ np.diag(f_lam) @ t_inv
+    report = solve(a, b)
+    assert report.status == "solved"
+    assert report.m == report.m_max == 4
+    gate = 1e-8 * (1 + np.linalg.norm(b))
+    assert report.interp_residual <= gate
+    assert np.linalg.norm(eval_matrix(report.realization, a) - b) <= gate
