@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", help="base point matrix file")
     p.add_argument("b", help="target matrix file")
     _add_common(p)
-    _add_sampling(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("hill", help="Hill-Pick analysis of (A, B)")
@@ -213,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_sampling(p)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for randomized trials (verdict is thread-count independent)")
+                   help="accepted for compatibility; has no effect (trials run batched in one thread)")
     p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("eval", help="evaluate a realization at a matrix point")

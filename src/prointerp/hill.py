@@ -24,7 +24,7 @@ from .matrix_kit import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
-    kron,
+    growing_chunks,
     psd_scale,
     symmetry_defect,
     unvec,
@@ -71,15 +71,15 @@ class HillRepresentation:
 
 
 def choi(lmap: LinearMatrixMap) -> ChoiMatrix:
-    """Assemble the Choi matrix of ``lmap`` block by block."""
+    """Rearrange the matricization of ``lmap`` into its Choi matrix.
+
+    Entry (a, b) of block (i, j) is entry (b n + a, j n + i) of the
+    matricization, since column j n + i holds vec(L(E_ij)); with the
+    matricization viewed as M[b, a, j, i] that is one axis permutation.
+    """
     n = lmap.n
-    out = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            # vec(E_ij) is the unit vector at column-stacked index j*n + i.
-            block = unvec(lmap.matricization[:, j * n + i], n, n)
-            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
-    return ChoiMatrix(n, out)
+    m4 = lmap.matricization.reshape(n, n, n, n)
+    return ChoiMatrix(n, m4.transpose(3, 1, 2, 0).reshape(n * n, n * n))
 
 
 def _blocks(mat: np.ndarray, n: int):
@@ -210,13 +210,50 @@ class PositivityTestResult:
     trials: int
 
 
-def _sign_patterns(n: int):
-    for bits in range(2 ** (n - 1)):
-        v = np.ones(n)
-        for k in range(n - 1):
-            if bits >> k & 1:
-                v[k + 1] = -1.0
-        yield v
+def _sign_patterns(bits: np.ndarray, n: int) -> np.ndarray:
+    """Rows (1, s_1, ..., s_{n-1}) with s_k = -1 where bit k-1 of ``bits`` is set."""
+    flips = (bits[:, None] >> np.arange(n - 1)) & 1
+    return np.hstack([np.ones((bits.size, 1)), 1.0 - 2.0 * flips])
+
+
+def _probes(n: int, seed, start: int, stop: int):
+    """Probes ``start .. stop-1`` of the positivity test as stacked (z, x) rows.
+
+    The sequence is every coordinate pair (e_i, e_j) in row-major order, then
+    every pair of sign patterns, then random unit vectors: probe ``t`` of
+    that last part draws z and x from an RNG stream derived from
+    ``(seed, t)`` and normalises each on its own.
+    """
+    n_coord = n * n
+    n_struct = n_coord + 4 ** (n - 1)
+    # Probe indices stay below 2**62, so capping the pattern count there
+    # leaves every quotient and remainder below unchanged.
+    n_pat = 1 << min(n - 1, 62)
+    zs, xs = [], []
+
+    idx = np.arange(start, min(stop, n_coord))
+    if idx.size:
+        eye = np.eye(n)
+        zs.append(eye[idx // n])
+        xs.append(eye[idx % n])
+
+    idx = np.arange(max(start, n_coord), min(stop, n_struct)) - n_coord
+    if idx.size:
+        zs.append(_sign_patterns(idx // n_pat, n))
+        xs.append(_sign_patterns(idx % n_pat, n))
+
+    first = max(start, n_struct)
+    if first < stop:
+        z, x = np.empty((stop - first, n)), np.empty((stop - first, n))
+        for row, t in enumerate(range(first, stop)):
+            rng = np.random.default_rng([seed, t])
+            z[row] = rng.standard_normal(n)
+            x[row] = rng.standard_normal(n)
+            z[row] /= np.linalg.norm(z[row])
+            x[row] /= np.linalg.norm(x[row])
+        zs.append(z)
+        xs.append(x)
+    return np.vstack(zs), np.vstack(xs)
 
 
 def positivity_sample_test(
@@ -230,46 +267,25 @@ def positivity_sample_test(
     Positivity of L is equivalent to (z kron x)^T Choi(L) (z kron x) >= 0
     for all z, x, so each probe evaluates that quadratic form.  Structured
     probes come first (all coordinate pairs, then all sign-pattern pairs),
-    followed by random unit vectors; trial ``t`` draws from an RNG stream
-    derived from ``(seed, t)``.  Finding no violation is one-sided evidence:
-    positive maps that are not completely positive will pass this test.
+    followed by random unit vectors; probe ``t`` among those draws from an
+    RNG stream derived from ``(seed, t)``, so the verdict and the witness
+    depend only on ``(seed, trials)``.  The ``trials`` probes run in chunks
+    of 1, 2, 4, ... (:func:`~prointerp.matrix_kit.growing_chunks`), each
+    evaluated as one batch of quadratic forms; the first violating probe is
+    reported.  Finding no violation is one-sided evidence: positive maps
+    that are not completely positive will pass this test.
     """
     n = lmap.n
     cm = choi(lmap).matrix
     threshold = -tol.psd_rel * (1.0 + np.linalg.norm(cm))
-
-    probes = []
-    eye = np.eye(n)
-    for i in range(n):
-        for j in range(n):
-            probes.append((eye[i], eye[j]))
-    for zs in _sign_patterns(n):
-        for xs in _sign_patterns(n):
-            probes.append((zs, xs))
-
-    def check(z, x):
-        w = np.kron(z, x)
-        return float(w @ cm @ w)
-
-    count = 0
-    for z, x in probes:
-        if count >= trials:
-            break
-        count += 1
-        q = check(z, x)
-        if q < threshold:
-            return PositivityTestResult(True, z, x, q, count)
-    t = count
-    while t < trials:
-        rng = np.random.default_rng([seed, t])
-        z = rng.standard_normal(n)
-        x = rng.standard_normal(n)
-        z /= np.linalg.norm(z)
-        x /= np.linalg.norm(x)
-        t += 1
-        q = check(z, x)
-        if q < threshold:
-            return PositivityTestResult(True, z, x, q, t)
+    for start, stop in growing_chunks(trials, n * n):
+        z, x = _probes(n, seed, start, stop)
+        w = (z[:, :, None] * x[:, None, :]).reshape(-1, n * n)  # rows z kron x
+        q = ((w @ cm) * w).sum(axis=1)
+        hits = np.flatnonzero(q < threshold)
+        if hits.size:
+            i = int(hits[0])
+            return PositivityTestResult(True, z[i].copy(), x[i].copy(), float(q[i]), start + i + 1)
     return PositivityTestResult(False, None, None, None, trials)
 
 

@@ -10,14 +10,13 @@ semidefinite cone into itself.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NotLyapunovRegularError
-from .matrix_kit import DEFAULT_TOL, Tolerances, as_matrix, kron, psd_scale, unvec, vec
+from .matrix_kit import DEFAULT_TOL, Tolerances, as_matrix, growing_chunks, kron, psd_scale, unvec, vec
 
 __all__ = [
     "LinearMatrixMap",
@@ -141,16 +140,6 @@ class OrderTestResult:
     trials: int
 
 
-def _order_trial(a, b, seed, index, tol):
-    h = sample_lyapunov_solution(a, [seed, index], tol)
-    k = h @ b + b.T @ h
-    k = 0.5 * (k + k.T)
-    w = np.linalg.eigvalsh(k)
-    if w[0] < -tol.psd_rel * psd_scale(k):
-        return h
-    return None
-
-
 def lyap_order_sample_test(
     a,
     b,
@@ -162,10 +151,18 @@ def lyap_order_sample_test(
     """Search for H with H A + A^T H >= 0 but H B + B^T H not >= 0.
 
     A witness H disproves A <= B in the Lyapunov order; finding none is
-    one-sided evidence only.  Trial ``t`` uses an RNG stream derived from
-    ``(seed, t)``, so the verdict depends only on ``(seed, trials)`` and in
-    particular not on ``threads``: the reported witness is always the one
-    with the smallest trial index.
+    one-sided evidence only.  Trial ``t`` is
+    ``sample_lyapunov_solution(a, [seed, t])``: it draws from an RNG stream
+    derived from ``(seed, t)`` alone, so the verdict depends only on
+    ``(seed, trials)`` and the reported witness is the one with the smallest
+    trial index.
+
+    L_A is built once per call and the trials run in chunks of 1, 2, 4, ...
+    (:func:`~prointerp.matrix_kit.growing_chunks`): each chunk solves all of
+    its right-hand sides vec(G G^T) against L_A in one call and checks the
+    stacked K = H B + B^T H with one batched eigenvalue call.  A witness at
+    trial 0 therefore costs one solve, and a clear run about log2(trials).
+    ``threads`` is accepted for compatibility and has no effect.
     """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
@@ -175,21 +172,20 @@ def lyap_order_sample_test(
     if not is_lyapunov_regular(a, tol):
         raise NotLyapunovRegularError("base point is not Lyapunov regular")
 
-    if threads <= 1:
-        for t in range(trials):
-            h = _order_trial(a, b, seed, t, tol)
-            if h is not None:
-                return OrderTestResult(True, h, t, trials)
-        return OrderTestResult(False, None, None, trials)
-
-    chunk = max(1, 8 * threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, trials, chunk):
-            indices = range(start, min(start + chunk, trials))
-            results = list(
-                pool.map(lambda t: _order_trial(a, b, seed, t, tol), indices)
-            )
-            for t, h in zip(indices, results):
-                if h is not None:
-                    return OrderTestResult(True, h, t, trials)
+    n = a.shape[0]
+    la = lyap_map(a).matricization
+    for start, stop in growing_chunks(trials, n * n):
+        rhs = np.empty((n * n, stop - start))
+        for col, t in enumerate(range(start, stop)):
+            g = np.random.default_rng([seed, t]).standard_normal((n, n))
+            rhs[:, col] = vec(g @ g.T)
+        # Column c of the solution is vec(H_c); reading it row-major gives H_c^T.
+        h = np.linalg.solve(la, rhs).T.reshape(-1, n, n).transpose(0, 2, 1)
+        h = 0.5 * (h + h.transpose(0, 2, 1))
+        k = h @ b + b.T @ h
+        k = 0.5 * (k + k.transpose(0, 2, 1))
+        hits = np.flatnonzero(np.linalg.eigvalsh(k)[:, 0] < -tol.psd_rel * psd_scale(k))
+        if hits.size:
+            i = int(hits[0])
+            return OrderTestResult(True, h[i].copy(), start + i, trials)
     return OrderTestResult(False, None, None, trials)

@@ -33,6 +33,7 @@ __all__ = [
     "format_matrix_text",
     "loads_matrix",
     "load_matrix",
+    "growing_chunks",
 ]
 
 
@@ -127,10 +128,35 @@ def rank_nullspace_pinv(x, tol: Tolerances = DEFAULT_TOL):
     return rank, nullspace, pinv
 
 
-def psd_scale(h: np.ndarray) -> float:
-    """Trace-based scale ``|trace|/m + 1`` used by eigenvalue floors."""
+_CHUNK_ELEMENTS = 1 << 20  # 8 MiB of float64 per batched array
+
+
+def growing_chunks(total: int, width: int):
+    """Split ``range(total)`` into ``(start, stop)`` chunks of 1, 2, 4, ... items.
+
+    Sampling tests evaluate their trials chunk by chunk and stop at the first
+    violation, so a violation at trial 0 costs one item of work and a clear
+    run about log2(total) batched calls.  Chunk growth stops once a chunk
+    holds ``_CHUNK_ELEMENTS`` floats at ``width`` floats per item, which
+    bounds the memory of a batch.
+    """
+    cap = max(1, _CHUNK_ELEMENTS // max(1, width))
+    start, size = 0, 1
+    while start < total:
+        stop = min(start + size, total)
+        yield start, stop
+        start, size = stop, min(2 * size, cap)
+
+
+def psd_scale(h: np.ndarray):
+    """Trace-based scale ``|trace|/m + 1`` used by eigenvalue floors.
+
+    A stack of m x m matrices gets one scale per matrix.
+    """
     h = np.asarray(h)
-    m = h.shape[0]
+    m = h.shape[-1]
+    if h.ndim > 2:
+        return np.abs(np.trace(h, axis1=-2, axis2=-1)) / max(m, 1) + 1.0
     if m == 0:
         return 1.0
     return abs(float(np.trace(h))) / m + 1.0

@@ -166,3 +166,12 @@ def test_text_matrix_input_round_trip(capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "solved"
     assert report["realization"]["m"] == 1
+
+
+def test_solve_takes_no_sampling_flags(capsys, pair):
+    a, b = pair
+    for flag in ("--seed", "--trials"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", a, b, flag, "1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err

@@ -15,7 +15,7 @@ from prointerp.hill import (
     positivity_sample_test,
 )
 from prointerp.lyapunov import LinearMatrixMap, lab_map
-from prointerp.matrix_kit import kron, vec
+from prointerp.matrix_kit import DEFAULT_TOL, kron, vec
 
 
 def identity_map(n):
@@ -314,3 +314,98 @@ def test_c1_witness_for_bicommutant_spans():
     for n in (2, 3, 4):
         a = rng.standard_normal((n, n))
         assert c1_diagnostic(bicommutant_basis(a), trials=100, seed=0).found
+
+
+def choi_block_loop(lmap):
+    """Assemble the Choi matrix block by block: block (i, j) is L(E_ij)."""
+    n = lmap.n
+    out = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            block = lmap.matricization[:, j * n + i].reshape(n, n, order="F")
+            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_choi_matches_block_loop(n):
+    rng = np.random.default_rng(n)
+    lmap = LinearMatrixMap(n, rng.standard_normal((n * n, n * n)))
+    np.testing.assert_array_equal(choi(lmap).matrix, choi_block_loop(lmap))
+
+
+def reference_positivity_test(lmap, trials, seed):
+    """The per-probe loop: coordinate pairs, sign-pattern pairs, then random
+    unit vectors from the (seed, t) streams.  Returns (trials, z, x, value)."""
+    n = lmap.n
+    cm = choi_block_loop(lmap)
+    threshold = -DEFAULT_TOL.psd_rel * (1.0 + np.linalg.norm(cm))
+    eye = np.eye(n)
+    patterns = []
+    for bits in range(2 ** (n - 1)):
+        v = np.ones(n)
+        for k in range(n - 1):
+            if bits >> k & 1:
+                v[k + 1] = -1.0
+        patterns.append(v)
+    probes = [(eye[i], eye[j]) for i in range(n) for j in range(n)]
+    probes += [(zs, xs) for zs in patterns for xs in patterns]
+    for t in range(trials):
+        if t < len(probes):
+            z, x = probes[t]
+        else:
+            rng = np.random.default_rng([seed, t])
+            z = rng.standard_normal(n)
+            x = rng.standard_normal(n)
+            z /= np.linalg.norm(z)
+            x /= np.linalg.norm(x)
+        w = np.kron(z, x)
+        q = float(w @ cm @ w)
+        if q < threshold:
+            return t + 1, z, x, q
+    return trials, None, None, None
+
+
+def map_from_choi(cm, n):
+    """The map whose Choi matrix is ``cm`` (the rearrangement is an involution)."""
+    return LinearMatrixMap(n, cm.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n))
+
+
+def rank_one_dent(c):
+    """Choi matrix I - c w w^T with w = z0 kron x0 for unit z0, x0 off every
+    structured probe: slightly past c = 1 only probes close to (z0, x0) see a
+    negative value, so the structured probes pass and a random probe fails."""
+    z0 = np.array([np.cos(0.3), np.sin(0.3)])
+    x0 = np.array([np.cos(1.1), np.sin(1.1)])
+    w = np.kron(z0, x0)
+    return map_from_choi(np.eye(4) - c * np.outer(w, w), 2)
+
+
+def third_coordinate_dent():
+    """A 4 x 4 map whose only negative probe is the third, (e_0, e_2)."""
+    return map_from_choi(np.diag(np.where(np.arange(16) == 2, -1.0, 1.0)), 4)
+
+
+# The first violation lies among the structured probes (8 of them at n = 2,
+# 16 + 64 at n = 4) or among the random ones, across several chunks.
+@pytest.mark.parametrize("lmap,trials,seed,count", [
+    (lab_map(np.diag([1.0, 2.0]), np.diag([1.0, 3.0])), 1000, 0, 6),
+    (rank_one_dent(1.2), 1000, 0, 13),
+    (rank_one_dent(1.02), 1000, 0, 103),
+    (rank_one_dent(1.2), 1, 0, 1),
+    (third_coordinate_dent(), 3, 0, 3),
+    (third_coordinate_dent(), 2, 0, 2),
+    (transpose_map(2), 2000, 1, 2000),
+])
+def test_positivity_matches_per_probe_loop(lmap, trials, seed, count):
+    ref_count, z, x, value = reference_positivity_test(lmap, trials, seed)
+    assert ref_count == count
+    result = positivity_sample_test(lmap, trials=trials, seed=seed)
+    assert result.trials == count
+    assert result.violated == (z is not None)
+    if z is not None:
+        np.testing.assert_array_equal(result.z, z)
+        np.testing.assert_array_equal(result.x, x)
+        norm = np.linalg.norm(choi(lmap).matrix)
+        assert abs(result.value - value) <= 1e-12 * (1.0 + norm)
+        assert result.z.base is None and result.x.base is None

@@ -175,3 +175,64 @@ def test_order_test_verdict_independent_of_threads():
 def test_order_test_requires_regular_base():
     with pytest.raises(NotLyapunovRegularError):
         lyap_order_sample_test(np.diag([1.0, -1.0]), np.eye(2), trials=10)
+
+
+def reference_order_test(a, b, trials, seed):
+    """The per-trial loop: one sample_lyapunov_solution and one check each."""
+    for t in range(trials):
+        h = sample_lyapunov_solution(a, [seed, t])
+        k = h @ b + b.T @ h
+        k = 0.5 * (k + k.T)
+        if np.linalg.eigvalsh(k)[0] < -DEFAULT_TOL.psd_rel * psd_scale(k):
+            return t, h
+    return None, None
+
+
+NONNORMAL_A = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.3], [0.2, 0.0, 3.0]])
+NEAR_B = NONNORMAL_A + 0.03 * np.diag([0.0, 0.0, 1.0])
+
+
+# Seeds chosen so the first violation falls at the given trial: inside the
+# first chunks of 1, 2 and 4 trials, on their boundaries, and past 60.
+@pytest.mark.parametrize("seed,first", [(37, 0), (38, 1), (34, 2), (17, 3), (21, 6), (3, 66)])
+def test_order_test_matches_per_trial_loop(seed, first):
+    index, h_ref = reference_order_test(NONNORMAL_A, NEAR_B, 200, seed)
+    assert index == first
+    result = lyap_order_sample_test(NONNORMAL_A, NEAR_B, trials=200, seed=seed)
+    assert result.violated and result.trial_index == first and result.trials == 200
+    assert np.linalg.norm(result.witness - h_ref) <= 1e-12 * np.linalg.norm(h_ref)
+    assert result.witness.base is None
+
+
+def test_order_test_clear_run_matches_per_trial_loop():
+    a = np.diag([1.0, 2.0])
+    b = np.diag([2.0, 3.0])
+    assert reference_order_test(a, b, 300, 5) == (None, None)
+    result = lyap_order_sample_test(a, b, trials=300, seed=5)
+    assert not result.violated and result.witness is None and result.trials == 300
+
+
+def test_order_test_single_trial():
+    index, _ = reference_order_test(NONNORMAL_A, NEAR_B, 1, 37)
+    assert index == 0
+    assert lyap_order_sample_test(NONNORMAL_A, NEAR_B, trials=1, seed=37).trial_index == 0
+    assert not lyap_order_sample_test(NONNORMAL_A, NEAR_B, trials=1, seed=38).violated
+
+
+def test_order_test_factors_l_a_once_per_chunk(monkeypatch):
+    # Trials are solved in chunks of 1, 2, 4, ...; a per-trial solve would
+    # make 100 calls here.
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    a = q @ np.diag(np.linspace(1.0, 3.0, 8)) @ q.T
+    result = lyap_order_sample_test(a, 2.0 * a, trials=100, seed=0)
+    assert not result.violated
+    assert 0 < len(calls) <= int(np.ceil(np.log2(101))) + 1

@@ -9,6 +9,7 @@ from prointerp.matrix_kit import (
     Tolerances,
     eigenvalues,
     format_matrix_text,
+    growing_chunks,
     kron,
     load_matrix,
     loads_matrix,
@@ -197,3 +198,17 @@ def test_load_matrix_detects_format(tmp_path):
     tpath.write_text("  \n 1 2\n3 4\n")  # leading whitespace must not confuse detection
     np.testing.assert_array_equal(load_matrix(jpath), x)
     np.testing.assert_array_equal(load_matrix(tpath), x)
+
+
+def test_psd_scale_of_a_stack_is_per_matrix():
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((5, 3, 3))
+    np.testing.assert_array_equal(psd_scale(stack), [psd_scale(h) for h in stack])
+
+
+def test_growing_chunks_double_until_the_element_cap():
+    assert list(growing_chunks(0, 4)) == []
+    assert list(growing_chunks(10, 4)) == [(0, 1), (1, 3), (3, 7), (7, 10)]
+    sizes = [stop - start for start, stop in growing_chunks(10**6, 1 << 18)]
+    assert sizes[:2] == [1, 2] and set(sizes[2:-1]) == {4}
+    assert sum(sizes) == 10**6
