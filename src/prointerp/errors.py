@@ -27,7 +27,7 @@ class NotStarLinearError(ProinterpError):
 
 
 class RankMismatchError(ProinterpError):
-    """Choi rank, block-span dimension, or coefficient count disagree."""
+    """A Hill representation fails to reproduce the map it was read off."""
 
 
 class ResidualTooLargeError(ProinterpError):

@@ -3,11 +3,13 @@
 A *-linear map L on n x n matrices can be written as
 L(V) = sum_{k,l} H_kl C_k V C_l^T with H symmetric; this is a Hill
 representation, and it is minimal exactly when the number of coefficient
-matrices equals the rank of the Choi matrix of L.  The coefficients can be
-chosen as any basis of the span of the n x n blocks of the matricization of
-L, read off a fixed n x n grid of n x n blocks.  Complete positivity of L
-is positive semidefiniteness of the Choi matrix, equivalently of H for a
-minimal representation.
+matrices equals the rank of the Choi matrix of L.  The vectorized blocks
+of the matricization of L are the columns of the Choi matrix in another
+order, so the coefficients can be any basis of the Choi column space.
+:func:`minimal_hill` takes the eigenvectors of the symmetric Choi matrix
+for its nonzero eigenvalues, which makes H the diagonal matrix of those
+eigenvalues.  Complete positivity of L is positive semidefiniteness of the
+Choi matrix, equivalently of H for a minimal representation.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .matrix_kit import (
     psd_scale,
     symmetry_defect,
     unvec,
-    vec,
 )
 
 __all__ = [
@@ -82,22 +83,16 @@ def choi(lmap: LinearMatrixMap) -> ChoiMatrix:
     return ChoiMatrix(n, m4.transpose(3, 1, 2, 0).reshape(n * n, n * n))
 
 
-def _blocks(mat: np.ndarray, n: int):
-    for i in range(n):
-        for j in range(n):
-            yield mat[i * n : (i + 1) * n, j * n : (j + 1) * n]
-
-
 def block_span(lmap: LinearMatrixMap, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the span of the n x n blocks of the matricization.
 
-    The basis elements are unvecs of the leading left singular vectors of the
-    matrix whose columns are the vectorized blocks, so they are orthonormal in
-    the vec inner product and their number equals the SVD rank.
+    The vectorized blocks are the columns of the Choi matrix permuted, so
+    this is the column space of the Choi matrix: the basis elements are
+    unvecs of its leading left singular vectors, orthonormal in the vec
+    inner product, and their number is its SVD rank.
     """
     n = lmap.n
-    cols = np.column_stack([vec(b) for b in _blocks(lmap.matricization, n)])
-    u, s, _ = np.linalg.svd(cols)
+    u, s, _ = np.linalg.svd(choi(lmap).matrix)
     cutoff = tol.rank_rel * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return SubspaceBasis(n, tuple(unvec(u[:, k], n, n) for k in range(rank)))
@@ -132,20 +127,20 @@ def coefficient_stack(coefficients) -> np.ndarray:
 def minimal_hill(lmap: LinearMatrixMap, tol: Tolerances = DEFAULT_TOL) -> HillRepresentation:
     """Compute a minimal Hill representation of a *-linear map.
 
-    The coefficient matrices are an orthonormal basis of the block span of
-    the matricization; the Hill matrix is recovered by compressing the Choi
-    matrix with pseudoinverses of the stacked coefficient vectors.  The
-    result is checked two ways before being returned: the Choi rank must
-    equal the number of coefficients, and the representation must reproduce
-    the map on random inputs.
+    One eigendecomposition of the symmetric Choi matrix gives everything:
+    the eigenvectors of the eigenvalues above ``rank_rel`` times the largest
+    in magnitude are the vectorized coefficients C_k, orthonormal and
+    spanning the Choi column space, and the Hill matrix H is the diagonal
+    matrix of those eigenvalues.  The number of coefficients is therefore
+    the Choi rank by construction.  The representation is checked against
+    the map on random inputs before being returned.
 
     Raises
     ------
     NotStarLinearError
         if the Choi matrix is not symmetric, i.e. the map is not *-linear.
     RankMismatchError
-        if the block-span dimension disagrees with the Choi rank, if the
-        recovered Hill matrix is singular, or if reconstruction fails.
+        if the representation does not reproduce the map.
     """
     n = lmap.n
     cmat = choi(lmap)
@@ -154,29 +149,10 @@ def minimal_hill(lmap: LinearMatrixMap, tol: Tolerances = DEFAULT_TOL) -> HillRe
             f"Choi matrix is not symmetric (defect {symmetry_defect(cmat.matrix):.3e}); "
             "the map is not *-linear"
         )
-    span = block_span(lmap, tol)
-    m = span.dim
-
-    sv = np.linalg.svd(cmat.matrix, compute_uv=False)
-    cutoff = tol.rank_rel * (sv[0] if sv.size else 0.0)
-    choi_rank = int(np.sum(sv > cutoff))
-    if choi_rank != m:
-        raise RankMismatchError(
-            f"block span dimension {m} != Choi rank {choi_rank}; "
-            "blocking convention or input map is inconsistent"
-        )
-
-    stacked = span.stacked_vecs()  # n^2 x m, orthonormal columns
-    pinv = np.linalg.pinv(stacked)
-    hill_t = pinv @ cmat.matrix @ pinv.T
-    hill = 0.5 * (hill_t.T + hill_t)  # symmetric since the Choi matrix is
-
-    if m:
-        hsv = np.linalg.svd(hill, compute_uv=False)
-        if np.sum(hsv > tol.rank_rel * hsv[0]) != m:
-            raise RankMismatchError("recovered Hill matrix is singular; representation is not minimal")
-
-    rep = HillRepresentation(n, m, span.basis, hill)
+    w, vecs = np.linalg.eigh(0.5 * (cmat.matrix + cmat.matrix.T))
+    keep = np.flatnonzero(np.abs(w) > tol.rank_rel * np.abs(w).max(initial=0.0))
+    coefficients = tuple(unvec(vecs[:, k], n, n) for k in keep)
+    rep = HillRepresentation(n, keep.size, coefficients, np.diag(w[keep]))
     rng = np.random.default_rng(7)
     for _ in range(20):
         v = rng.standard_normal((n, n))

@@ -3,15 +3,17 @@
 Given a Lyapunov regular A and a B in its bicommutant, the pipeline is:
 form the quotient Lyapunov map L_{A,B}, take a minimal Hill representation
 (C_1..C_m, H), gate on m = m_max (the bicommutant dimension) and on H being
-positive definite, factor H = P^T P, assemble for each probe matrix R the
+positive definite, factor H = P^T P, assemble for a probe matrix R the
 pencil pair
 
     L_R = [ R ; (P kron R) C ],    M_R = [ R B ; -(P kron R A) C ],
 
 with C the stacked coefficient matrix, and solve (S kron I_n) L_R = M_R for
-a single skew-symmetric S across the probe collection.  Reading ell and M
-off the first row and the trailing block of S yields
-f(z) = ell (z I - M)^{-1} ell^T with f(A) = B.
+a skew-symmetric S.  Since L_R = (I_{m+1} kron R) L_I and likewise for M_R,
+every probe poses the equations of R = I again, left-multiplied by R, so
+:func:`solve` uses the single probe R = I.  Reading ell and M off the first
+row and the trailing block of S yields f(z) = ell (z I - M)^{-1} ell^T with
+f(A) = B.
 """
 
 from __future__ import annotations
@@ -72,7 +74,12 @@ STATUSES = (
 
 def standard_collection(n: int):
     """The matrix units E_ij in column-major order; their pencils always
-    span the full constraint range."""
+    span the full constraint range.
+
+    :func:`solve` does not need them (the probe R = I poses the same
+    equations); :func:`range_structure` and :func:`perturb_free_block`
+    read the range of the pencils built on this collection.
+    """
     out = []
     for j in range(n):
         for i in range(n):
@@ -342,7 +349,7 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
         )
 
     try:
-        pencils = build_pencils(a, b, h, rep.coefficients, standard_collection(n), tol)
+        pencils = build_pencils(a, b, h, rep.coefficients, [np.eye(n)], tol)
         s, skew_residual = solve_skew(pencils, tol)
         f = extract_realization(s)
         fa = eval_matrix(f, a, tol)

@@ -409,3 +409,95 @@ def test_positivity_matches_per_probe_loop(lmap, trials, seed, count):
         norm = np.linalg.norm(choi(lmap).matrix)
         assert abs(result.value - value) <= 1e-12 * (1.0 + norm)
         assert result.z.base is None and result.x.base is None
+
+
+def feasible_lab_map(spectrum, seed):
+    """L_{A,B} for A = T diag(spectrum) T^{-1} and B = f(A) with f positive
+    real odd of state dimension 2."""
+    rng = np.random.default_rng(seed)
+    n = len(spectrum)
+    t = rng.standard_normal((n, n)) + 2 * np.eye(n)
+    lam = np.asarray(spectrum, dtype=float)
+    f_lam = lam / (lam**2 + 0.8**2) + 0.6 * lam / (lam**2 + 2.2**2)
+    t_inv = np.linalg.inv(t)
+    return lab_map(t @ np.diag(lam) @ t_inv, t @ np.diag(f_lam) @ t_inv)
+
+
+HILL_CORPUS = [
+    pytest.param(lambda: identity_map(2), id="identity-2"),
+    pytest.param(lambda: identity_map(3), id="identity-3"),
+    pytest.param(lambda: transpose_map(2), id="transpose-2"),
+    pytest.param(lambda: trace_map(3), id="trace-3"),
+    pytest.param(lambda: lab_map(np.diag([1.0, 2.0]), np.diag([2.0, 3.0])), id="diagonal-pair"),
+    pytest.param(lambda: lab_map(np.diag([1.0, 2.0]), np.diag([1.0, 3.0])), id="indefinite-pair"),
+    pytest.param(
+        lambda: lab_map(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[2.0, 1.0], [0.0, 2.0]])),
+        id="jordan-pair",
+    ),
+    pytest.param(lambda: random_star_linear(2, 3, 0), id="random-2-3"),
+    pytest.param(lambda: random_star_linear(3, 5, 1), id="random-3-5"),
+    pytest.param(lambda: random_star_linear(3, 4, 5), id="random-3-4"),
+    pytest.param(lambda: feasible_lab_map([0.6, 1.1, 1.7, 2.4], 2), id="distinct-4"),
+    pytest.param(lambda: feasible_lab_map([0.7, 0.7, 0.7, 1.9, 1.9, 1.9], 3), id="clustered-6"),
+    pytest.param(lambda: LinearMatrixMap(2, np.zeros((4, 4))), id="zero"),
+]
+
+
+def reference_hill(lmap, tol=DEFAULT_TOL):
+    """The route through the block loop: an orthonormal basis of the span of
+    the vectorized n x n blocks of the matricization from their SVD, then
+    the Choi matrix compressed onto it with pseudoinverses.  Returns the
+    n^2 x m basis and the Hill matrix."""
+    n = lmap.n
+    mat = lmap.matricization
+    cols = np.column_stack([
+        vec(mat[i * n : (i + 1) * n, j * n : (j + 1) * n]) for i in range(n) for j in range(n)
+    ])
+    u, s, _ = np.linalg.svd(cols)
+    rank = int(np.sum(s > tol.rank_rel * s[0]))
+    basis = u[:, :rank]
+    pinv = np.linalg.pinv(basis)
+    hill_t = pinv @ choi(lmap).matrix @ pinv.T
+    return basis, 0.5 * (hill_t + hill_t.T)
+
+
+def projector(vecs):
+    return vecs @ vecs.T
+
+
+@pytest.mark.parametrize("factory", HILL_CORPUS)
+def test_minimal_hill_matches_block_loop_route(factory):
+    lmap = factory()
+    basis, hill = reference_hill(lmap)
+    rep = minimal_hill(lmap)
+    assert rep.m == basis.shape[1]
+    h = rep.hill_matrix
+    np.testing.assert_array_equal(h, np.diag(np.diag(h)))
+    w_ref = np.linalg.eigvalsh(hill) if rep.m else np.zeros(0)
+    scale = 1.0 + (np.abs(w_ref).max() if rep.m else 0.0)
+    np.testing.assert_allclose(np.sort(np.diag(h)), w_ref, rtol=0, atol=1e-10 * scale)
+    stacked = SubspaceBasis(lmap.n, rep.coefficients).stacked_vecs()
+    np.testing.assert_allclose(projector(stacked), projector(basis), rtol=0, atol=1e-8)
+    span = block_span(lmap)
+    assert span.dim == basis.shape[1]
+    np.testing.assert_allclose(projector(span.stacked_vecs()), projector(basis), rtol=0, atol=1e-8)
+
+
+def test_minimal_hill_makes_one_eigendecomposition(monkeypatch):
+    lmap = feasible_lab_map([0.7, 0.7, 0.7, 1.9, 1.9, 1.9], 3)
+    calls = {"svd": 0, "pinv": 0, "eigh": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    rep = minimal_hill(lmap)
+    assert rep.m == 2
+    assert calls == {"svd": 0, "pinv": 0, "eigh": 1}

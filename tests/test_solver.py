@@ -273,3 +273,61 @@ def test_solve_clustered_sixteen_by_four():
     gate = 1e-8 * (1 + np.linalg.norm(b))
     assert report.interp_residual <= gate
     assert np.linalg.norm(eval_matrix(report.realization, a) - b) <= gate
+
+
+def feasible_distinct_pair(n, seed):
+    """A = T diag(spectrum) T^{-1} and B = f(A) for a random positive real
+    odd f with n states, so the pair is feasible by construction."""
+    from prointerp.pro import ProRealization
+
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    t = rng.standard_normal((n, n)) + 2 * np.eye(n)
+    a = t @ np.diag(np.linspace(0.6, 2.4, n)) @ np.linalg.inv(t)
+    f = ProRealization.from_state_space(rng.standard_normal(n), g - g.T)
+    return a, eval_matrix(f, a)
+
+
+FEASIBLE_PAIRS = [(A_DIAG, B_FEASIBLE), (A_JORDAN, B_JORDAN), feasible_distinct_pair(4, 3)]
+
+
+@pytest.mark.parametrize("a,b", FEASIBLE_PAIRS)
+def test_pencils_of_any_probe_are_the_identity_pencils_left_multiplied(a, b):
+    # L_R = (I_{m+1} kron R) L_I and M_R = (I_{m+1} kron R) M_I, so every
+    # probe poses the equations of R = I again
+    n = a.shape[0]
+    rng = np.random.default_rng(4)
+    probes = [rng.standard_normal((n, n)) for _ in range(3)]
+    _, _, pencils = pencils_for(a, b, collection=[np.eye(n)] + probes)
+    l_i, m_i = pencils.l_pencils[0], pencils.m_pencils[0]
+    lift = np.eye(pencils.m + 1)
+    for r, l_r, m_r in zip(probes, pencils.l_pencils[1:], pencils.m_pencils[1:]):
+        np.testing.assert_allclose(l_r, kron(lift, r) @ l_i, rtol=0, atol=1e-12 * (1 + np.linalg.norm(l_r)))
+        np.testing.assert_allclose(m_r, kron(lift, r) @ m_i, rtol=0, atol=1e-12 * (1 + np.linalg.norm(m_r)))
+
+
+@pytest.mark.parametrize("a,b", FEASIBLE_PAIRS)
+def test_identity_probe_gives_the_matrix_unit_solution(a, b):
+    n = a.shape[0]
+    _, _, units = pencils_for(a, b)
+    _, _, single = pencils_for(a, b, collection=[np.eye(n)])
+    s_units, _ = solve_skew(units)
+    s_single, _ = solve_skew(single)
+    assert np.linalg.norm(s_single - s_units) <= 1e-10 * np.linalg.norm(s_units)
+
+
+def test_solve_builds_pencils_on_one_probe(monkeypatch):
+    import prointerp.solver as solver_module
+
+    sizes = []
+    build = solver_module.build_pencils
+
+    def recording_build(a, b, hill_matrix, coefficients, collection, *rest, **kwargs):
+        sizes.append(len(collection))
+        return build(a, b, hill_matrix, coefficients, collection, *rest, **kwargs)
+
+    monkeypatch.setattr(solver_module, "build_pencils", recording_build)
+    a, b = feasible_distinct_pair(4, 3)
+    assert solve(a, b).status == "solved"
+    assert solve(A_JORDAN, B_JORDAN).status == "solved"
+    assert sizes == [1, 1]
