@@ -95,7 +95,7 @@ def cmd_solve(args) -> int:
     if report.m_max is not None:
         lines.append(f"m_max: {report.m_max}")
     if report.hill_pick is not None:
-        eigs = np.linalg.eigvalsh(0.5 * (report.hill_pick + report.hill_pick.T))
+        eigs = np.diag(report.hill_pick)  # H is diagonal, eigenvalues ascending
         lines.append("hill eigenvalues: " + " ".join(repr(float(v)) for v in eigs))
     if report.skew_residual is not None:
         lines.append(f"skew_residual: {report.skew_residual!r}")
@@ -112,7 +112,7 @@ def cmd_hill(args) -> int:
     tol = _tolerances(args)
     a, b = load_matrix(args.a), load_matrix(args.b)
     h, _, m, mm = hill_pick(a, b, tol)
-    eigs = [float(v) for v in np.linalg.eigvalsh(0.5 * (h + h.T))] if m else []
+    eigs = [float(v) for v in np.diag(h)]  # H is diagonal, eigenvalues ascending
     cp = is_completely_positive(lab_map(a, b, tol), tol)
     obj = {
         "m": m,

@@ -27,6 +27,8 @@ __all__ = [
     "pro_diagnostics",
 ]
 
+SKEW_REL = 1e-9  # skew-symmetric means ||M + M^T||_F <= SKEW_REL (1 + ||M||_F)
+
 
 def _strict_lower(m: np.ndarray) -> np.ndarray:
     """Row-major strict lower triangle of a square matrix."""
@@ -77,18 +79,18 @@ class ProRealization:
         return _from_strict_lower(self.m_lower, self.m)
 
     @classmethod
-    def from_state_space(cls, ell, m_matrix, skew_tol: float = 1e-9):
+    def from_state_space(cls, ell, m_matrix):
         """Build a realization from (ell, M), verifying M is skew-symmetric.
 
         The symmetric part of M must vanish to within
-        ``skew_tol * (1 + ||M||_F)``; within that band it is discarded, so
+        ``SKEW_REL * (1 + ||M||_F)``; within that band it is discarded, so
         the stored matrix is exactly skew.
         """
         mm = as_matrix(m_matrix) if np.size(m_matrix) else np.zeros((0, 0))
         if mm.shape[0] != mm.shape[1]:
             raise ValueError("state matrix must be square")
         defect = np.linalg.norm(mm + mm.T)
-        if defect > skew_tol * (1.0 + np.linalg.norm(mm)):
+        if defect > SKEW_REL * (1.0 + np.linalg.norm(mm)):
             raise ValueError(
                 f"state matrix is not skew-symmetric: ||M + M^T||_F = {defect:.3e}"
             )

@@ -13,7 +13,9 @@ a skew-symmetric S.  Since L_R = (I_{m+1} kron R) L_I and likewise for M_R,
 every probe poses the equations of R = I again, left-multiplied by R, so
 :func:`solve` uses the single probe R = I.  Reading ell and M off the first
 row and the trailing block of S yields f(z) = ell (z I - M)^{-1} ell^T with
-f(A) = B.
+f(A) = B.  The skew least squares splits, in the right singular basis of
+the pencil, into one 2 x 1 problem per entry pair of S, each solved in
+closed form (:func:`solve_skew`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .matrix_kit import (
     psd_scale,
     rank_nullspace_pinv,
 )
-from .pro import ProRealization, eval_matrix
+from .pro import SKEW_REL, ProRealization, eval_matrix
 
 __all__ = [
     "STATUSES",
@@ -135,7 +137,7 @@ def build_pencils(a, b, hill_matrix, coefficients, collection, tol: Tolerances =
     n = a.shape[0]
     p = psd_factor(hill_matrix, tol)
     m = p.shape[0]
-    stack = coefficient_stack(coefficients)
+    stack = coefficient_stack(coefficients) if len(coefficients) else np.zeros((0, n))
     if stack.shape != (m * n, n):
         raise ValueError(
             f"coefficient stack has shape {stack.shape}, expected {(m * n, n)}"
@@ -153,33 +155,31 @@ def build_pencils(a, b, hill_matrix, coefficients, collection, tol: Tolerances =
 def solve_skew(pencils: PencilPair, tol: Tolerances = DEFAULT_TOL):
     """Least-squares solve of (S kron I_n) L_R = M_R over skew-symmetric S.
 
-    The unknowns are the strict lower triangle of S; each enters the stacked
-    residual linearly, so a single dense least-squares solve covers the whole
-    collection.  Unconstrained skew directions (those acting only on the
-    orthogonal complement of the pencil range) get the minimum-norm value 0.
+    With Lmat, Mmat the matrices whose column q is block q of the stacked
+    L_R, M_R flattened, the defect is Lmat S^T - Mmat.  With Lmat =
+    U diag(s) V^T, D = U^T Mmat V and S^T = V Y V^T, each pair i < j is a
+    2 x 1 least-squares problem: Y_ij = (s_i D_ij - s_j D_ji) / (s_i^2 + s_j^2).
+    A pair whose sqrt(s_i^2 + s_j^2) is at most eps * max(m(m+1)/2, Lmat.size)
+    times the largest gets the minimum-norm value 0, the cut lstsq applies.
 
     Returns (S, residual) where residual is the Frobenius norm of the stacked
     defect; raises ResidualTooLargeError when it exceeds
     residual_abs * (1 + ||M_R stack||_F).
     """
-    n, m = pencils.n, pencils.m
-    mp1 = m + 1
-    ls = pencils.stacked_l()
-    ms = pencils.stacked_m()
-    pairs = [(p, q) for p in range(mp1) for q in range(p)]
-    design = np.zeros((ls.size, len(pairs)))
-    for col, (p, q) in enumerate(pairs):
-        contrib = np.zeros_like(ms)
-        contrib[p * n : (p + 1) * n] = ls[q * n : (q + 1) * n]
-        contrib[q * n : (q + 1) * n] = -ls[p * n : (p + 1) * n]
-        design[:, col] = contrib.reshape(-1)
-    x, *_ = np.linalg.lstsq(design, ms.reshape(-1), rcond=None)
-    s = np.zeros((mp1, mp1))
-    for val, (p, q) in zip(x, pairs):
-        s[p, q] = val
-        s[q, p] = -val
-    residual = float(np.linalg.norm(design @ x - ms.reshape(-1)))
-    gate = tol.residual_abs * (1.0 + np.linalg.norm(ms))
+    mp1 = pencils.m + 1
+    lmat = pencils.stacked_l().reshape(mp1, -1).T
+    mmat = pencils.stacked_m().reshape(mp1, -1).T
+    # V must be square: a wide Lmat takes the full factors, zero-padding Sigma
+    u, sv, vt = np.linalg.svd(lmat, full_matrices=lmat.shape[0] < mp1)
+    sig = np.pad(sv, (0, mp1 - sv.size))
+    sd = sig[:, None] * np.pad(u.T @ mmat @ vt.T, ((0, mp1 - sv.size), (0, 0)))
+    den = sig[:, None] ** 2 + sig**2
+    cut = np.finfo(float).eps * max(lmat.size, mp1 * (mp1 - 1) // 2) * np.linalg.norm(sig[:2])
+    y = np.divide(sd - sd.T, den, out=np.zeros_like(den), where=np.sqrt(den) > cut)
+    s = vt.T @ y.T @ vt
+    s = 0.5 * (s - s.T)  # V Y^T V^T is skew up to rounding; make it exact
+    residual = float(np.linalg.norm(lmat @ s.T - mmat))
+    gate = tol.residual_abs * (1.0 + np.linalg.norm(mmat))
     if residual > gate:
         raise ResidualTooLargeError(
             f"skew pencil system left residual {residual:.3e} above gate {gate:.3e}"
@@ -193,7 +193,7 @@ def extract_realization(s) -> ProRealization:
     if s.shape[0] != s.shape[1] or s.shape[0] < 1:
         raise ValueError("expected a nonempty square skew matrix")
     defect = np.linalg.norm(s + s.T)
-    if defect > 1e-9 * (1.0 + np.linalg.norm(s)):
+    if defect > SKEW_REL * (1.0 + np.linalg.norm(s)):
         raise ValueError(f"matrix is not skew-symmetric: ||S + S^T||_F = {defect:.3e}")
     ell = s[0, 1:]
     return ProRealization.from_state_space(ell, -s[1:, 1:])
@@ -224,10 +224,7 @@ def range_structure(pencils: PencilPair, tol: Tolerances = DEFAULT_TOL) -> Range
     rank = int(np.sum(sv > cutoff))
     q = u[:, :rank]
     proj = q @ q.T
-    pi = np.zeros((mp1, mp1))
-    for p in range(mp1):
-        for r in range(mp1):
-            pi[p, r] = np.trace(proj[p * n : (p + 1) * n, r * n : (r + 1) * n]) / n
+    pi = np.einsum("pjrj->pr", proj.reshape(mp1, n, mp1, n)) / n
     defect = float(np.linalg.norm(proj - kron(pi, np.eye(n))))
     w, vects = np.linalg.eigh(pi)
     u_tilde = vects[:, w > 0.5]
@@ -326,10 +323,10 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
             "numerical_failure", h, m, mm, None, None, None,
             f"Hill size {m} exceeds bicommutant dimension {mm}; rank decisions are inconsistent",
         )
-    eigs = np.linalg.eigvalsh(0.5 * (h + h.T)) if m else np.zeros(0)
-    min_eig = float(eigs[0]) if m else 0.0
+    eigs = np.diag(h)  # minimal_hill returns H diagonal, eigenvalues ascending
+    min_eig, max_eig = (float(eigs[0]), float(eigs[-1])) if m else (0.0, 0.0)
     floor = tol.psd_rel * psd_scale(h)
-    notes = [f"hill eigenvalue range [{min_eig:.6e}, {float(eigs[-1]) if m else 0.0:.6e}]"]
+    notes = [f"hill eigenvalue range [{min_eig:.6e}, {max_eig:.6e}]"]
 
     if m < mm:
         return SolveReport(

@@ -5,6 +5,7 @@ import pytest
 
 from prointerp.errors import NotLyapunovRegularError, PoleHitError
 from prointerp.pro import (
+    SKEW_REL,
     ProRealization,
     eval_matrix,
     eval_scalar,
@@ -37,6 +38,28 @@ def test_from_state_space_rejects_tampered_matrix():
     m[0, 1] += 1e-3
     with pytest.raises(ValueError):
         ProRealization.from_state_space([1.0, 1.0], m)
+
+
+def test_one_skew_gate_for_realizations_and_skew_matrices():
+    # from_state_space and extract_realization accept and reject on the same
+    # band SKEW_REL * (1 + ||.||_F) of the symmetric part
+    from prointerp.solver import extract_realization
+
+    m = planar_rotation(1.0)
+    gauge = SKEW_REL * (1.0 + np.linalg.norm(m))
+    s = np.zeros((3, 3))
+    for factor, accepted in ((0.5, True), (2.0, False)):
+        tampered = m.copy()
+        tampered[0, 1] += factor * gauge
+        s[1:, 1:] = -tampered
+        if accepted:
+            ProRealization.from_state_space([1.0, 1.0], tampered)
+            extract_realization(s)
+        else:
+            with pytest.raises(ValueError):
+                ProRealization.from_state_space([1.0, 1.0], tampered)
+            with pytest.raises(ValueError):
+                extract_realization(s)
 
 
 def test_lower_triangle_length_validation():

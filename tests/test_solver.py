@@ -331,3 +331,103 @@ def test_solve_builds_pencils_on_one_probe(monkeypatch):
     assert solve(a, b).status == "solved"
     assert solve(A_JORDAN, B_JORDAN).status == "solved"
     assert sizes == [1, 1]
+
+
+def lstsq_skew(pencils):
+    """Reference: the design-matrix route, one dense lstsq over the strict
+    lower triangle of S, each column the residual of one skew pair."""
+    n, mp1 = pencils.n, pencils.m + 1
+    ls, ms = pencils.stacked_l(), pencils.stacked_m()
+    pairs = [(p, q) for p in range(mp1) for q in range(p)]
+    design = np.zeros((ls.size, len(pairs)))
+    for col, (p, q) in enumerate(pairs):
+        contrib = np.zeros_like(ms)
+        contrib[p * n : (p + 1) * n] = ls[q * n : (q + 1) * n]
+        contrib[q * n : (q + 1) * n] = -ls[p * n : (p + 1) * n]
+        design[:, col] = contrib.reshape(-1)
+    x, *_ = np.linalg.lstsq(design, ms.reshape(-1), rcond=None)
+    s = np.zeros((mp1, mp1))
+    for val, (p, q) in zip(x, pairs):
+        s[p, q] = val
+        s[q, p] = -val
+    return s, float(np.linalg.norm(design @ x - ms.reshape(-1)))
+
+
+def assert_matches_lstsq(pencils):
+    s, residual = solve_skew(pencils)
+    s_ref, residual_ref = lstsq_skew(pencils)
+    np.testing.assert_array_equal(s, -s.T)
+    assert np.linalg.norm(s - s_ref) <= 1e-10 * np.linalg.norm(s_ref)
+    assert abs(residual - residual_ref) <= 1e-12 * (1.0 + np.linalg.norm(pencils.stacked_m()))
+    return s
+
+
+def random_collections(n, seed):
+    rng = np.random.default_rng(seed)
+    return [[rng.standard_normal((n, n)) for _ in range(k)] for k in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("a,b", FEASIBLE_PAIRS)
+def test_solve_skew_matches_lstsq_on_feasible_pairs(a, b):
+    n = a.shape[0]
+    collections = [[np.eye(n)], standard_collection(n)] + random_collections(n, 8)
+    for collection in collections:
+        _, _, pencils = pencils_for(a, b, collection=collection)
+        assert_matches_lstsq(pencils)
+
+
+def test_solve_skew_matches_lstsq_on_the_wide_scalar_pencil():
+    # n = 1: the stacked L has one row and m + 1 = 2 columns
+    _, _, pencils = pencils_for(np.array([[2.0]]), np.array([[3.0]]))
+    assert pencils.stacked_l().size == 2
+    assert_matches_lstsq(pencils)
+
+
+def test_solve_skew_matches_lstsq_on_rank_deficient_pencils():
+    # the matrix-unit pencils of the free-block tests have a numerically
+    # zero singular value; the hand-built pencil has two exact null
+    # directions, where the minimum-norm choice decides S
+    _, _, pencils = pencils_for(A_DIAG, B_FEASIBLE)
+    sv = np.linalg.svd(pencils.stacked_l().reshape(pencils.m + 1, -1), compute_uv=False)
+    assert sv[-1] < 1e-12 * sv[0]
+    assert_matches_lstsq(pencils)
+
+    rng = np.random.default_rng(9)
+    n, m = 3, 4
+    lmat = rng.standard_normal((2 * n * n, 2)) @ rng.standard_normal((2, m + 1))
+    g = rng.standard_normal((m + 1, m + 1))
+    mmat = lmat @ (g - g.T).T
+    stacked_l = lmat.T.reshape((m + 1) * n, 2 * n)
+    stacked_m = mmat.T.reshape((m + 1) * n, 2 * n)
+    pencils = PencilPair(
+        n, m, (np.eye(n), np.eye(n)),
+        (stacked_l[:, :n], stacked_l[:, n:]), (stacked_m[:, :n], stacked_m[:, n:]),
+    )
+    s = assert_matches_lstsq(pencils)
+    assert np.linalg.norm(s) < np.linalg.norm(g - g.T)
+
+
+def test_m_zero_hill_data_builds_pencils():
+    a = np.diag([1.0, 2.0])
+    h, c, m, _ = hill_pick(a, np.zeros((2, 2)))
+    assert m == 0 and h.shape == (0, 0)
+    pencils = build_pencils(a, np.zeros((2, 2)), h, c, [np.eye(2)])
+    assert pencils.stacked_l().shape == (2, 2)
+    s, residual = solve_skew(pencils)
+    np.testing.assert_array_equal(s, [[0.0]])
+    assert residual == 0.0
+    assert_matches_lstsq(pencils)
+
+
+def test_solve_skew_makes_no_lstsq_call(monkeypatch):
+    _, _, pencils = pencils_for(*FEASIBLE_PAIRS[2])
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    solve_skew(pencils)
+    assert len(calls) == 0
