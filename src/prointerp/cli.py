@@ -13,6 +13,11 @@ Matrix files may be JSON ({"rows": .., "cols": .., "data": [[..]]}) or
 whitespace-separated plain text; realizations are JSON objects with keys
 "m", "ell", "M_lower".  Reports go to stdout (text by default, --json for
 machine-readable form); errors go to stderr.
+
+Each subcommand takes --json and only the --tol-* flags its code reads: all
+four on solve and hill, --tol-psd and --tol-regular on order (with --seed and
+--trials), --tol-regular on eval, --tol-residual and --tol-regular on verify,
+and --tol-rank on bicommutant.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from .commutant import bicommutant_basis
 from .errors import NotInBicommutantError, NotLyapunovRegularError, ProinterpError
 from .hill import is_completely_positive
-from .lyapunov import lab_map, lyap_order_sample_test
+from .lyapunov import lyap_order_sample_test
 from .matrix_kit import (
     DEFAULT_TOL,
     Tolerances,
@@ -35,7 +40,7 @@ from .matrix_kit import (
     matrix_to_json,
 )
 from .pro import ProRealization, eval_matrix
-from .solver import hill_pick, solve
+from .solver import _hill_stage, solve
 
 _SOLVE_EXIT = {
     "solved": 0,
@@ -47,30 +52,26 @@ _SOLVE_EXIT = {
 }
 
 
-def _add_common(parser):
-    parser.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel,
-                        help="relative singular value cutoff for rank decisions")
-    parser.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.psd_rel,
-                        help="relative eigenvalue floor for positivity checks")
-    parser.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual_abs,
-                        help="absolute residual gate, scaled by (1 + data norm)")
-    parser.add_argument("--tol-regular", type=float, default=DEFAULT_TOL.regular_rel,
-                        help="relative floor for Lyapunov regularity")
+_TOL_FLAGS = {
+    "rank": ("rank_rel", "relative singular value cutoff for rank decisions"),
+    "psd": ("psd_rel", "relative eigenvalue floor for positivity checks"),
+    "residual": ("residual_abs", "absolute residual gate, scaled by (1 + data norm)"),
+    "regular": ("regular_rel", "relative floor for Lyapunov regularity"),
+}
+
+
+def _add_common(parser, *tols):
+    """Add --json and the --tol-* flags named in ``tols``."""
+    for name in tols:
+        field, text = _TOL_FLAGS[name]
+        parser.add_argument(f"--tol-{name}", dest=field, type=float,
+                            default=getattr(DEFAULT_TOL, field), help=text)
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
-def _add_sampling(parser):
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed for randomized trials")
-    parser.add_argument("--trials", type=int, default=1000, help="number of randomized trials")
-
-
 def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        rank_rel=args.tol_rank,
-        psd_rel=args.tol_psd,
-        residual_abs=args.tol_residual,
-        regular_rel=args.tol_regular,
-    )
+    """The defaults, overridden by the --tol-* flags the subcommand takes."""
+    return Tolerances(**{f: getattr(args, f) for f, _ in _TOL_FLAGS.values() if hasattr(args, f)})
 
 
 def _emit(args, obj: dict, text_lines):
@@ -110,19 +111,20 @@ def cmd_solve(args) -> int:
 
 def cmd_hill(args) -> int:
     tol = _tolerances(args)
-    a, b = load_matrix(args.a), load_matrix(args.b)
-    h, _, m, mm = hill_pick(a, b, tol)
-    eigs = [float(v) for v in np.diag(h)]  # H is diagonal, eigenvalues ascending
-    cp = is_completely_positive(lab_map(a, b, tol), tol)
+    err, mm, lmap, rep = _hill_stage(load_matrix(args.a), load_matrix(args.b), tol)
+    if err is not None:
+        raise err
+    eigs = [float(v) for v in np.diag(rep.hill_matrix)]  # H is diagonal, eigenvalues ascending
+    cp = is_completely_positive(lmap, tol)
     obj = {
-        "m": m,
+        "m": rep.m,
         "m_max": mm,
-        "hill_pick": matrix_to_json(h),
+        "hill_pick": matrix_to_json(rep.hill_matrix),
         "hill_eigenvalues": eigs,
         "completely_positive": cp,
     }
     _emit(args, obj, [
-        f"m: {m}",
+        f"m: {rep.m}",
         f"m_max: {mm}",
         "hill eigenvalues: " + " ".join(repr(v) for v in eigs),
         f"completely_positive: {str(cp).lower()}",
@@ -134,7 +136,7 @@ def cmd_order(args) -> int:
     tol = _tolerances(args)
     result = lyap_order_sample_test(
         load_matrix(args.a), load_matrix(args.b),
-        trials=args.trials, seed=args.seed, tol=tol, threads=args.threads,
+        trials=args.trials, seed=args.seed, tol=tol,
     )
     obj = {
         "violated": result.violated,
@@ -197,40 +199,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide/construct an interpolant for (A, B)")
     p.add_argument("a", help="base point matrix file")
     p.add_argument("b", help="target matrix file")
-    _add_common(p)
+    _add_common(p, "rank", "psd", "residual", "regular")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("hill", help="Hill-Pick analysis of (A, B)")
     p.add_argument("a")
     p.add_argument("b")
-    _add_common(p)
+    _add_common(p, "rank", "psd", "residual", "regular")
     p.set_defaults(func=cmd_hill)
 
     p = sub.add_parser("order", help="randomized Lyapunov order test")
     p.add_argument("a")
     p.add_argument("b")
-    _add_common(p)
-    _add_sampling(p)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect (trials run batched in one thread)")
+    _add_common(p, "psd", "regular")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed for randomized trials")
+    p.add_argument("--trials", type=int, default=1000, help="number of randomized trials")
     p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("eval", help="evaluate a realization at a matrix point")
     p.add_argument("f", help="realization JSON file")
     p.add_argument("a", help="matrix point file")
-    _add_common(p)
+    _add_common(p, "regular")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="check f(A) = B for a stored realization")
     p.add_argument("f", help="realization JSON file")
     p.add_argument("a")
     p.add_argument("b")
-    _add_common(p)
+    _add_common(p, "residual", "regular")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bicommutant", help="print a bicommutant basis")
     p.add_argument("a")
-    _add_common(p)
+    _add_common(p, "rank")
     p.set_defaults(func=cmd_bicommutant)
 
     return parser
@@ -243,10 +244,7 @@ def main(argv=None) -> int:
     except (NotLyapunovRegularError, NotInBicommutantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ProinterpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (ProinterpError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ inner product, and never as the nullspace of a stacked operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -119,8 +119,7 @@ def coefficient_stack(coefficients) -> np.ndarray:
     pencil construction, so that stack^T (H kron V) stack = sum_kl H_kl C_k V C_l^T."""
     mats = [as_matrix(c) for c in coefficients]
     if not mats:
-        n = 0
-        return np.zeros((0, n))
+        return np.zeros((0, 0))
     return np.vstack([c.T for c in mats])
 
 
@@ -251,6 +250,8 @@ def positivity_sample_test(
     reported.  Finding no violation is one-sided evidence: positive maps
     that are not completely positive will pass this test.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     n = lmap.n
     cm = choi(lmap).matrix
     threshold = -tol.psd_rel * (1.0 + np.linalg.norm(cm))
@@ -289,6 +290,8 @@ def c1_diagnostic(
     inconclusive otherwise.  Probes are the coordinate vectors, then the
     all-ones vector, then random unit vectors seeded per trial.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     n, k = space.n, space.dim
     if k > n:
         return C1Result(False, None, 0)
@@ -300,21 +303,13 @@ def c1_diagnostic(
         s = np.linalg.svd(m, compute_uv=False)
         return s.size and s[-1] > tol.rank_rel * s[0]
 
-    probes = [np.eye(n)[i] for i in range(n)]
-    probes.append(np.ones(n))
-    count = 0
-    for v in probes:
-        if count >= trials:
-            break
-        count += 1
+    probes = [*np.eye(n), np.ones(n)]
+    for t in range(trials):
+        if t < len(probes):
+            v = probes[t]
+        else:
+            v = np.random.default_rng([seed, t]).standard_normal(n)
+            v /= np.linalg.norm(v)
         if full_rank(v):
-            return C1Result(True, v, count)
-    t = count
-    while t < trials:
-        rng = np.random.default_rng([seed, t])
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        t += 1
-        if full_rank(v):
-            return C1Result(True, v, t)
+            return C1Result(True, v, t + 1)
     return C1Result(False, None, trials)

@@ -162,7 +162,8 @@ def lyap_order_sample_test(
     its right-hand sides vec(G G^T) against L_A in one call and checks the
     stacked K = H B + B^T H with one batched eigenvalue call.  A witness at
     trial 0 therefore costs one solve, and a clear run about log2(trials).
-    ``threads`` is accepted for compatibility and has no effect.
+    ``threads`` has no effect; it is kept only because the benchmark's
+    ``perfbench/run.py`` passes ``threads=1``.
     """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:

@@ -163,7 +163,7 @@ def psd_scale(h: np.ndarray):
 
 
 def symmetry_defect(h: np.ndarray) -> float:
-    """Frobenius norm of the antisymmetric part relative gauge, ``||H - H^T||_F``."""
+    """Frobenius norm ``||H - H^T||_F``, twice that of the antisymmetric part."""
     h = np.asarray(h)
     return float(np.linalg.norm(h - h.T))
 

@@ -73,6 +73,8 @@ STATUSES = (
     "numerical_failure",
 )
 
+_GATE_STATUS = {NotLyapunovRegularError: "not_regular", NotInBicommutantError: "not_in_bicommutant"}
+
 
 def standard_collection(n: int):
     """The matrix units E_ij in column-major order; their pencils always
@@ -91,24 +93,40 @@ def standard_collection(n: int):
     return out
 
 
+def _hill_stage(a, b, tol: Tolerances):
+    """The gates in front of the Hill-Pick matrix, cheapest first: Lyapunov
+    regularity, membership in {A}'', L_{A,B}, minimal Hill.  Returns (error,
+    m_max, lmap, rep): the first failing gate's exception or None, with the
+    products computed up to that gate and None for the rest.
+    """
+    a, b = as_matrix(a), as_matrix(b)
+    if not is_lyapunov_regular(a, tol):
+        err = NotLyapunovRegularError("base point has an eigenvalue pair summing to zero at tolerance")
+        return err, None, None, None
+    bic = bicommutant_basis(a, tol)
+    mem = membership(b, bic, tol)
+    if not mem.is_member:
+        err = NotInBicommutantError(f"target is not in the bicommutant: residual {mem.residual:.6e}")
+        return err, bic.dim, None, None
+    lmap = lab_map(a, b, tol)
+    try:
+        return None, bic.dim, lmap, minimal_hill(lmap, tol)
+    except (NotStarLinearError, RankMismatchError) as exc:
+        return type(exc)(f"Hill extraction failed: {exc}"), bic.dim, lmap, None
+
+
 def hill_pick(a, b, tol: Tolerances = DEFAULT_TOL):
     """Hill-Pick data of the pair (A, B): the matrix H whose definiteness
     decides feasibility, the coefficients C_k, and the sizes (m, m_max).
 
-    Raises NotLyapunovRegularError or NotInBicommutantError on the
-    preconditions, and propagates Hill extraction failures.
+    Raises the exception of the first gate of :func:`solve` that fails:
+    NotLyapunovRegularError, NotInBicommutantError, or the NotStarLinearError
+    or RankMismatchError of a failed Hill extraction.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    if not is_lyapunov_regular(a, tol):
-        raise NotLyapunovRegularError("base point is not Lyapunov regular")
-    bic = bicommutant_basis(a, tol)
-    mem = membership(b, bic, tol)
-    if not mem.is_member:
-        raise NotInBicommutantError(
-            f"target is not in the bicommutant of the base point (residual {mem.residual:.3e})"
-        )
-    rep = minimal_hill(lab_map(a, b, tol), tol)
-    return rep.hill_matrix, rep.coefficients, rep.m, bic.dim
+    err, mm, _, rep = _hill_stage(a, b, tol)
+    if err is not None:
+        raise err
+    return rep.hill_matrix, rep.coefficients, rep.m, mm
 
 
 @dataclass(frozen=True)
@@ -295,29 +313,12 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
     if n == 0:
         raise ValueError("empty matrices are not meaningful interpolation data")
 
-    if not is_lyapunov_regular(a, tol):
-        return SolveReport(
-            "not_regular", None, None, None, None, None, None,
-            "base point has an eigenvalue pair summing to zero at tolerance",
-        )
+    err, mm, _, rep = _hill_stage(a, b, tol)
+    if err is not None:
+        status = _GATE_STATUS.get(type(err), "numerical_failure")
+        return SolveReport(status, None, None, mm, None, None, None, str(err))
 
-    bic = bicommutant_basis(a, tol)
-    mem = membership(b, bic, tol)
-    if not mem.is_member:
-        return SolveReport(
-            "not_in_bicommutant", None, None, bic.dim, None, None, None,
-            f"target is not in the bicommutant: residual {mem.residual:.6e}",
-        )
-
-    try:
-        rep = minimal_hill(lab_map(a, b, tol), tol)
-    except (NotStarLinearError, RankMismatchError) as exc:
-        return SolveReport(
-            "numerical_failure", None, None, bic.dim, None, None, None,
-            f"Hill extraction failed: {exc}",
-        )
-
-    h, m, mm = rep.hill_matrix, rep.m, bic.dim
+    h, m = rep.hill_matrix, rep.m
     if m > mm:
         return SolveReport(
             "numerical_failure", h, m, mm, None, None, None,

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from prointerp.cli import main
+from prointerp.cli import _tolerances, build_parser, main
+from prointerp.errors import NotStarLinearError, RankMismatchError
+from prointerp.lyapunov import lab_map
 from prointerp.matrix_kit import format_matrix_text, matrix_to_json
 from prointerp.pro import ProRealization, eval_matrix
 
@@ -93,7 +95,7 @@ def test_order_command(capsys, tmp_path):
     assert obj["violated"] is False and obj["trials"] == 200
 
     bad = write_json(tmp_path / "bad.json", np.diag([1.0, 3.0]))
-    assert main(["order", a, bad, "--json", "--threads", "2"]) == 2
+    assert main(["order", a, bad, "--json"]) == 2
     obj = json.loads(capsys.readouterr().out)
     assert obj["violated"] is True
     assert obj["witness"] is not None
@@ -175,3 +177,60 @@ def test_solve_takes_no_sampling_flags(capsys, pair):
             main(["solve", a, b, flag, "1"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+# The flags each subcommand takes beyond --json: exactly those its code reads.
+OPTIONAL_FLAGS = ("--tol-rank", "--tol-psd", "--tol-residual", "--tol-regular",
+                  "--seed", "--trials", "--threads")
+TOL_FIELDS = {"--tol-rank": "rank_rel", "--tol-psd": "psd_rel",
+              "--tol-residual": "residual_abs", "--tol-regular": "regular_rel"}
+SURFACE = {
+    ("solve", "A", "B"): ("--tol-rank", "--tol-psd", "--tol-residual", "--tol-regular"),
+    ("hill", "A", "B"): ("--tol-rank", "--tol-psd", "--tol-residual", "--tol-regular"),
+    ("order", "A", "B"): ("--tol-psd", "--tol-regular", "--seed", "--trials"),
+    ("eval", "F", "A"): ("--tol-regular",),
+    ("verify", "F", "A", "B"): ("--tol-residual", "--tol-regular"),
+    ("bicommutant", "A"): ("--tol-rank",),
+}
+
+
+@pytest.mark.parametrize("command, kept", SURFACE.items(), ids=[c[0] for c in SURFACE])
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, kept):
+    for flag in OPTIONAL_FLAGS:
+        if flag in kept:
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, "1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+    for flag in kept:
+        value = "0.25" if flag in TOL_FIELDS else "3"
+        args = build_parser().parse_args([*command, flag, value])
+        if flag in TOL_FIELDS:
+            assert getattr(_tolerances(args), TOL_FIELDS[flag]) == 0.25
+        else:
+            assert getattr(args, flag[2:]) == 3
+
+
+def test_hill_builds_lab_map_once(monkeypatch, capsys, pair):
+    real = lab_map
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in ("prointerp.lyapunov", "prointerp.solver", "prointerp.cli"):
+        monkeypatch.setattr(f"{module}.lab_map", counting, raising=False)
+    assert main(["hill", *pair]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("error", [RankMismatchError, NotStarLinearError])
+def test_hill_extraction_failure_exits_1(monkeypatch, capsys, pair, error):
+    def fail(lmap, tol):
+        raise error("injected")
+
+    monkeypatch.setattr("prointerp.solver.minimal_hill", fail)
+    assert main(["hill", *pair]) == 1
+    assert capsys.readouterr().err.startswith("error: Hill extraction failed")

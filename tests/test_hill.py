@@ -316,6 +316,15 @@ def test_c1_witness_for_bicommutant_spans():
         assert c1_diagnostic(bicommutant_basis(a), trials=100, seed=0).found
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampling_tests_need_at_least_one_trial(trials):
+    # no verdict can rest on zero probes, as in lyap_order_sample_test
+    with pytest.raises(ValueError, match="at least 1"):
+        positivity_sample_test(transpose_map(2), trials=trials)
+    with pytest.raises(ValueError, match="at least 1"):
+        c1_diagnostic(upper_toeplitz_span(), trials=trials)
+
+
 def choi_block_loop(lmap):
     """Assemble the Choi matrix block by block: block (i, j) is L(E_ij)."""
     n = lmap.n

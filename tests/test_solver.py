@@ -7,6 +7,8 @@ from prointerp.errors import (
     NotInBicommutantError,
     NotLyapunovRegularError,
     NotPositiveDefiniteError,
+    NotStarLinearError,
+    RankMismatchError,
     ResidualTooLargeError,
 )
 from prointerp.hill import coefficient_stack
@@ -209,6 +211,20 @@ def test_solve_report_fields_by_status():
     blocked = solve(A_DIAG, np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert blocked.hill_pick is None and blocked.m is None
     assert blocked.m_max == 2  # the bicommutant itself was still computable
+
+
+@pytest.mark.parametrize("error", [RankMismatchError, NotStarLinearError])
+def test_hill_extraction_failure(monkeypatch, error):
+    def fail(lmap, tol):
+        raise error("injected")
+
+    monkeypatch.setattr("prointerp.solver.minimal_hill", fail)
+    report = solve(A_JORDAN, B_JORDAN)
+    assert report.status == "numerical_failure"
+    assert report.m_max == 2 and report.m is None and report.hill_pick is None
+    assert report.diagnostics.startswith("Hill extraction failed")
+    with pytest.raises(error, match="^Hill extraction failed: injected$"):
+        hill_pick(A_JORDAN, B_JORDAN)
 
 
 def test_solve_scalar_sign_cases():
