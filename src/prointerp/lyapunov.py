@@ -101,6 +101,12 @@ def lab_map(a, b, tol: Tolerances = DEFAULT_TOL) -> LinearMatrixMap:
         raise ValueError("lab_map needs two square matrices of the same size")
     if not is_lyapunov_regular(a, tol):
         raise NotLyapunovRegularError("base point is not Lyapunov regular")
+    return _quotient_map(a, b)
+
+
+def _quotient_map(a: np.ndarray, b: np.ndarray) -> LinearMatrixMap:
+    """L_B o L_A^{-1} for square arrays of one size whose ``a`` the caller has
+    already found Lyapunov regular."""
     la = lyap_map(a).matricization
     lb = lyap_map(b).matricization
     # L_B L_A^{-1} without forming the inverse: solve L_A^T Z = L_B^T.

@@ -36,7 +36,7 @@ from .errors import (
     SingularPencilError,
 )
 from .hill import coefficient_stack, minimal_hill
-from .lyapunov import is_lyapunov_regular, lab_map
+from .lyapunov import _quotient_map, is_lyapunov_regular
 from .matrix_kit import (
     DEFAULT_TOL,
     Tolerances,
@@ -108,7 +108,7 @@ def _hill_stage(a, b, tol: Tolerances):
     if not mem.is_member:
         err = NotInBicommutantError(f"target is not in the bicommutant: residual {mem.residual:.6e}")
         return err, bic.dim, None, None
-    lmap = lab_map(a, b, tol)
+    lmap = _quotient_map(a, b)
     try:
         return None, bic.dim, lmap, minimal_hill(lmap, tol)
     except (NotStarLinearError, RankMismatchError) as exc:

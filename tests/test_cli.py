@@ -5,7 +5,7 @@ import pytest
 
 from prointerp.cli import _tolerances, build_parser, main
 from prointerp.errors import NotStarLinearError, RankMismatchError
-from prointerp.lyapunov import lab_map
+from prointerp.lyapunov import _quotient_map
 from prointerp.matrix_kit import format_matrix_text, matrix_to_json
 from prointerp.pro import ProRealization, eval_matrix
 
@@ -213,7 +213,9 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, kept):
 
 
 def test_hill_builds_lab_map_once(monkeypatch, capsys, pair):
-    real = lab_map
+    # Every route to L_{A,B}, public lab_map or the Hill stage, goes through
+    # the one private builder, so counting it counts the builds.
+    real = _quotient_map
     calls = []
 
     def counting(*args, **kwargs):
@@ -221,7 +223,7 @@ def test_hill_builds_lab_map_once(monkeypatch, capsys, pair):
         return real(*args, **kwargs)
 
     for module in ("prointerp.lyapunov", "prointerp.solver", "prointerp.cli"):
-        monkeypatch.setattr(f"{module}.lab_map", counting, raising=False)
+        monkeypatch.setattr(f"{module}._quotient_map", counting, raising=False)
     assert main(["hill", *pair]) == 0
     assert len(calls) == 1
 

@@ -5,6 +5,8 @@ from prointerp.commutant import SubspaceBasis, bicommutant_basis, membership
 from prointerp.errors import NotStarLinearError
 from prointerp.hill import (
     HillRepresentation,
+    PositivityTestResult,
+    _probe_search,
     apply_hill,
     block_span,
     c1_diagnostic,
@@ -510,3 +512,94 @@ def test_minimal_hill_makes_one_eigendecomposition(monkeypatch):
     rep = minimal_hill(lmap)
     assert rep.m == 2
     assert calls == {"svd": 0, "pinv": 0, "eigh": 1}
+
+
+def positivity_threshold(lmap):
+    return -DEFAULT_TOL.psd_rel * (1.0 + np.linalg.norm(choi(lmap).matrix))
+
+
+def test_clear_run_on_cp_map_builds_no_probe(monkeypatch):
+    import prointerp.hill as hill_module
+
+    lmap = feasible_lab_map([0.6, 1.1, 1.7, 2.4], 2)
+    assert is_completely_positive(lmap)
+    calls = {"rng": 0, "probes": 0}
+    real_rng, real_probes = np.random.default_rng, hill_module._probes
+
+    def counting_rng(*args, **kwargs):
+        calls["rng"] += 1
+        return real_rng(*args, **kwargs)
+
+    def counting_probes(*args, **kwargs):
+        calls["probes"] += 1
+        return real_probes(*args, **kwargs)
+
+    monkeypatch.setattr(hill_module.np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(hill_module, "_probes", counting_probes)
+    result = positivity_sample_test(lmap, trials=2000, seed=3)
+    assert result == PositivityTestResult(False, None, None, None, 2000)
+    assert calls == {"rng": 0, "probes": 0}
+
+
+# Completely positive maps of these sizes never reach the probes through the
+# public test, so the probe search is driven on them directly against the
+# per-probe loop.
+@pytest.mark.parametrize("factory,trials", [
+    pytest.param(lambda: identity_map(2), 300, id="identity-2"),
+    pytest.param(lambda: identity_map(3), 300, id="identity-3"),
+    pytest.param(lambda: trace_map(3), 300, id="trace-3"),
+    pytest.param(lambda: feasible_lab_map([0.6, 1.1, 1.7, 2.4], 2), 300, id="distinct-4"),
+    pytest.param(lambda: feasible_lab_map([0.7, 0.7, 0.7, 1.9, 1.9, 1.9], 3), 1200, id="clustered-6"),
+])
+def test_probe_search_clear_on_cp_maps(factory, trials):
+    lmap = factory()
+    assert is_completely_positive(lmap)
+    ref = reference_positivity_test(lmap, trials, seed=5)
+    assert ref == (trials, None, None, None)
+    result = _probe_search(choi(lmap).matrix, lmap.n, trials, 5, positivity_threshold(lmap))
+    assert result == PositivityTestResult(False, None, None, None, trials)
+
+
+def sign_pattern_dent(ratio):
+    """A 3 x 3 map whose Choi matrix is I - (1 + c) u u^T, u the unit vector
+    along the sign-pattern probe z0 kron x0, so lambda_min = -c.  c makes
+    n^2 lambda_min equal ``ratio`` times the threshold, and that probe's
+    value is n^2 lambda_min: the probe fires exactly when ratio > 1."""
+    n = 3
+    z0, x0 = np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, -1.0])
+    u = np.kron(z0, x0) / n
+    threshold = DEFAULT_TOL.psd_rel * (1.0 + np.sqrt(n * n - 1.0))
+    c = ratio * threshold / n**2
+    return map_from_choi(np.eye(n * n) - (1.0 + c) * np.outer(u, u), n)
+
+
+@pytest.mark.parametrize("ratio,probed", [(0.5, False), (2.0, True)])
+def test_certificate_boundary_matches_per_probe_loop(monkeypatch, ratio, probed):
+    import prointerp.hill as hill_module
+
+    lmap = sign_pattern_dent(ratio)
+    lam_min = np.linalg.eigvalsh(choi(lmap).matrix)[0]
+    assert lmap.n**2 * lam_min / abs(positivity_threshold(lmap)) == pytest.approx(-ratio, rel=1e-4)
+    calls = []
+    real = hill_module._probes
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hill_module, "_probes", counting)
+    count, z, x, value = reference_positivity_test(lmap, 500, seed=0)
+    result = positivity_sample_test(lmap, trials=500, seed=0)
+    assert bool(calls) == probed
+    assert result.violated == probed == (z is not None)
+    assert result.trials == count
+    if probed:
+        np.testing.assert_array_equal(result.z, z)
+        np.testing.assert_array_equal(result.x, x)
+        assert abs(result.value - value) <= 1e-12 * (1.0 + np.linalg.norm(choi(lmap).matrix))
+
+
+@pytest.mark.parametrize("check", [positivity_sample_test, is_completely_positive])
+def test_empty_map_is_rejected(check):
+    with pytest.raises(ValueError, match="needs n >= 1"):
+        check(LinearMatrixMap(0, np.zeros((0, 0))))

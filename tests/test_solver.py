@@ -447,3 +447,21 @@ def test_solve_skew_makes_no_lstsq_call(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     solve_skew(pencils)
     assert len(calls) == 0
+
+
+def test_solve_checks_regularity_once(monkeypatch):
+    import prointerp.lyapunov as lyapunov_module
+    import prointerp.solver as solver_module
+
+    calls = []
+    real = lyapunov_module.is_lyapunov_regular
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (lyapunov_module, solver_module):
+        monkeypatch.setattr(module, "is_lyapunov_regular", counting)
+    a, b = feasible_distinct_pair(4, 3)
+    assert solve(a, b).status == "solved"
+    assert len(calls) == 1
