@@ -30,7 +30,6 @@ import numpy as np
 
 from .commutant import bicommutant_basis
 from .errors import NotInBicommutantError, NotLyapunovRegularError, ProinterpError
-from .hill import is_completely_positive
 from .lyapunov import lyap_order_sample_test
 from .matrix_kit import (
     DEFAULT_TOL,
@@ -38,9 +37,10 @@ from .matrix_kit import (
     format_matrix_text,
     load_matrix,
     matrix_to_json,
+    psd_scale,
 )
 from .pro import ProRealization, eval_matrix
-from .solver import _hill_stage, solve
+from .solver import hill_pick, solve
 
 _SOLVE_EXIT = {
     "solved": 0,
@@ -111,20 +111,19 @@ def cmd_solve(args) -> int:
 
 def cmd_hill(args) -> int:
     tol = _tolerances(args)
-    err, mm, lmap, rep = _hill_stage(load_matrix(args.a), load_matrix(args.b), tol)
-    if err is not None:
-        raise err
-    eigs = [float(v) for v in np.diag(rep.hill_matrix)]  # H is diagonal, eigenvalues ascending
-    cp = is_completely_positive(lmap, tol)
+    h, _, m, mm = hill_pick(load_matrix(args.a), load_matrix(args.b), tol)
+    eigs = [float(v) for v in np.diag(h)]  # H is diagonal, eigenvalues ascending
+    # A minimal Hill representation is CP exactly when H is PSD.
+    cp = bool(min(eigs, default=0.0) >= -tol.psd_rel * psd_scale(h))
     obj = {
-        "m": rep.m,
+        "m": m,
         "m_max": mm,
-        "hill_pick": matrix_to_json(rep.hill_matrix),
+        "hill_pick": matrix_to_json(h),
         "hill_eigenvalues": eigs,
         "completely_positive": cp,
     }
     _emit(args, obj, [
-        f"m: {rep.m}",
+        f"m: {m}",
         f"m_max: {mm}",
         "hill eigenvalues: " + " ".join(repr(v) for v in eigs),
         f"completely_positive: {str(cp).lower()}",

@@ -127,10 +127,6 @@ def membership(b, space: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> Member
     if b.shape != (space.n, space.n):
         raise ValueError(f"matrix has shape {b.shape}, expected {(space.n, space.n)}")
     target = vec(b)
-    if space.dim == 0:
-        residual = float(np.linalg.norm(target))
-        ok = residual <= tol.residual_abs * (1.0 + np.linalg.norm(b))
-        return MembershipResult(ok, np.zeros(0) if ok else None, residual)
     v = space.stacked_vecs()
     coords, *_ = np.linalg.lstsq(v, target, rcond=None)
     residual = float(np.linalg.norm(v @ coords - target))

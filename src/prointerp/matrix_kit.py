@@ -55,8 +55,8 @@ class Tolerances:
     def __post_init__(self):
         for name in ("rank_rel", "psd_rel", "residual_abs", "regular_rel"):
             value = getattr(self, name)
-            if not (value > 0.0):
-                raise ValueError(f"tolerance {name} must be positive, got {value!r}")
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"tolerance {name} must be finite and positive, got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -151,15 +151,11 @@ def growing_chunks(total: int, width: int):
 def psd_scale(h: np.ndarray):
     """Trace-based scale ``|trace|/m + 1`` used by eigenvalue floors.
 
-    A stack of m x m matrices gets one scale per matrix.
+    A stack of m x m matrices gets one scale per matrix; a 0 x 0 matrix
+    gets 1.
     """
     h = np.asarray(h)
-    m = h.shape[-1]
-    if h.ndim > 2:
-        return np.abs(np.trace(h, axis1=-2, axis2=-1)) / max(m, 1) + 1.0
-    if m == 0:
-        return 1.0
-    return abs(float(np.trace(h))) / m + 1.0
+    return np.abs(np.trace(h, axis1=-2, axis2=-1)) / max(h.shape[-1], 1) + 1.0
 
 
 def symmetry_defect(h: np.ndarray) -> float:

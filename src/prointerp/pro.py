@@ -153,9 +153,14 @@ def eval_matrix(f: ProRealization, a, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
         raise ValueError("matrix point must be square and nonempty")
     if not is_lyapunov_regular(a, tol):
         raise NotLyapunovRegularError("matrix point is not Lyapunov regular")
-    if f.m == 0:
-        return np.zeros((n, n))
-    eye = np.eye(n)
+    return _eval_pencil(f, a)
+
+
+def _eval_pencil(f: ProRealization, a: np.ndarray) -> np.ndarray:
+    """f(A) through the Kronecker pencil, for a nonempty square array ``a``
+    the caller has already found Lyapunov regular.  The zero function
+    (m = 0) gives an empty pencil and exact zeros."""
+    eye = np.eye(a.shape[0])
     pencil = kron(np.eye(f.m), a) - kron(f.state_matrix, eye)
     rhs = kron(f.ell.reshape(-1, 1), eye)
     try:

@@ -47,7 +47,7 @@ from .matrix_kit import (
     psd_scale,
     rank_nullspace_pinv,
 )
-from .pro import SKEW_REL, ProRealization, eval_matrix
+from .pro import SKEW_REL, ProRealization, _eval_pencil
 
 __all__ = [
     "STATUSES",
@@ -96,23 +96,22 @@ def standard_collection(n: int):
 def _hill_stage(a, b, tol: Tolerances):
     """The gates in front of the Hill-Pick matrix, cheapest first: Lyapunov
     regularity, membership in {A}'', L_{A,B}, minimal Hill.  Returns (error,
-    m_max, lmap, rep): the first failing gate's exception or None, with the
+    m_max, rep): the first failing gate's exception or None, with the
     products computed up to that gate and None for the rest.
     """
     a, b = as_matrix(a), as_matrix(b)
     if not is_lyapunov_regular(a, tol):
         err = NotLyapunovRegularError("base point has an eigenvalue pair summing to zero at tolerance")
-        return err, None, None, None
+        return err, None, None
     bic = bicommutant_basis(a, tol)
     mem = membership(b, bic, tol)
     if not mem.is_member:
         err = NotInBicommutantError(f"target is not in the bicommutant: residual {mem.residual:.6e}")
-        return err, bic.dim, None, None
-    lmap = _quotient_map(a, b)
+        return err, bic.dim, None
     try:
-        return None, bic.dim, lmap, minimal_hill(lmap, tol)
+        return None, bic.dim, minimal_hill(_quotient_map(a, b), tol)
     except (NotStarLinearError, RankMismatchError) as exc:
-        return type(exc)(f"Hill extraction failed: {exc}"), bic.dim, lmap, None
+        return type(exc)(f"Hill extraction failed: {exc}"), bic.dim, None
 
 
 def hill_pick(a, b, tol: Tolerances = DEFAULT_TOL):
@@ -123,7 +122,7 @@ def hill_pick(a, b, tol: Tolerances = DEFAULT_TOL):
     NotLyapunovRegularError, NotInBicommutantError, or the NotStarLinearError
     or RankMismatchError of a failed Hill extraction.
     """
-    err, mm, _, rep = _hill_stage(a, b, tol)
+    err, mm, rep = _hill_stage(a, b, tol)
     if err is not None:
         raise err
     return rep.hill_matrix, rep.coefficients, rep.m, mm
@@ -313,7 +312,7 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
     if n == 0:
         raise ValueError("empty matrices are not meaningful interpolation data")
 
-    err, mm, _, rep = _hill_stage(a, b, tol)
+    err, mm, rep = _hill_stage(a, b, tol)
     if err is not None:
         status = _GATE_STATUS.get(type(err), "numerical_failure")
         return SolveReport(status, None, None, mm, None, None, None, str(err))
@@ -350,7 +349,7 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
         pencils = build_pencils(a, b, h, rep.coefficients, [np.eye(n)], tol)
         s, skew_residual = solve_skew(pencils, tol)
         f = extract_realization(s)
-        fa = eval_matrix(f, a, tol)
+        fa = _eval_pencil(f, a)  # A passed the regularity gate in _hill_stage
     except (NotPositiveDefiniteError, ResidualTooLargeError, SingularPencilError, np.linalg.LinAlgError) as exc:
         return SolveReport(
             "numerical_failure", h, m, mm, None, None, None,

@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 
+from prointerp.cli import main
 from prointerp.errors import ProinterpError
 from prointerp.hill import (
     block_span,
@@ -21,7 +22,7 @@ from prointerp.hill import (
     positivity_sample_test,
 )
 from prointerp.lyapunov import LinearMatrixMap, lab_map, lyap_order_sample_test
-from prointerp.matrix_kit import DEFAULT_TOL, kron, psd_factor, psd_scale
+from prointerp.matrix_kit import DEFAULT_TOL, kron, matrix_to_json, psd_factor, psd_scale
 from prointerp.pro import ProRealization, eval_matrix, eval_scalar
 from prointerp.solver import (
     build_pencils,
@@ -116,6 +117,13 @@ def star_linear_corpus():
         maps.append(("identity n=%d" % n, LinearMatrixMap.from_function(n, lambda v: v)))
         maps.append(("transpose n=%d" % n, LinearMatrixMap.from_function(n, lambda v: v.T)))
         maps.append(("trace*I n=%d" % n, trace_times_identity(n)))
+    maps.extend((name, lab_map(a, b)) for name, (a, b) in lab_pairs())
+    return maps
+
+
+def lab_pairs():
+    """The (A, B) pairs whose L_{A,B} join the corpus: four named pairs and
+    the ten round-trip pairs."""
     labs = [
         ("lab two-point", (A1, B1)),
         ("lab infeasible", (A1, np.diag([1.0, 3.0]))),
@@ -124,8 +132,7 @@ def star_linear_corpus():
     ]
     instances, _ = round_trip_instances()
     labs.extend(("lab round-trip %d" % i, (a, b)) for i, (a, b, _, _, _) in enumerate(instances))
-    maps.extend((name, lab_map(a, b)) for name, (a, b) in labs)
-    return maps
+    return labs
 
 
 def test_criterion_1_two_point_diagonal_solve():
@@ -315,6 +322,24 @@ def test_criterion_6_choi_hill_consistency_corpus():
         "%d maps: Choi rank = block span, reconstruction <= 1e-8, CP == PD(H)"
         % len(corpus),
     )
+
+
+def test_hill_cli_cp_verdict_matches_the_choi_reference(tmp_path, capsys):
+    """`prointerp hill` reads complete positivity off the Hill matrix H; on
+    every L_{A,B} of criterion 6's corpus it agrees with the Choi-matrix
+    check, on CP and non-CP maps alike."""
+    seen = set()
+    for name, (a, b) in lab_pairs():
+        paths = []
+        for label, x in (("a", a), ("b", b)):
+            path = tmp_path / ("%s.json" % label)
+            path.write_text(json.dumps(matrix_to_json(x)))
+            paths.append(str(path))
+        assert main(["hill", *paths, "--json"]) == 0, name
+        cp = json.loads(capsys.readouterr().out)["completely_positive"]
+        assert cp is is_completely_positive(lab_map(a, b)), name
+        seen.add(cp)
+    assert seen == {True, False}
 
 
 def test_criterion_7_positivity_implies_complete_positivity_echo():

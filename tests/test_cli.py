@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import prointerp.hill as hill_module
 from prointerp.cli import _tolerances, build_parser, main
 from prointerp.errors import NotStarLinearError, RankMismatchError
 from prointerp.lyapunov import _quotient_map
@@ -226,6 +227,34 @@ def test_hill_builds_lab_map_once(monkeypatch, capsys, pair):
         monkeypatch.setattr(f"{module}._quotient_map", counting, raising=False)
     assert main(["hill", *pair]) == 0
     assert len(calls) == 1
+
+
+def test_hill_builds_and_decomposes_the_choi_matrix_once(monkeypatch, capsys, pair):
+    # The CP verdict is read off H, so the one Choi matrix is the one that
+    # minimal_hill builds and eigendecomposes with eigh.
+    real = hill_module.choi
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(hill_module, "choi", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    assert main(["hill", *pair, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["completely_positive"] is True
+    assert len(calls) == 1
+
+
+def test_infinite_tolerance_is_rejected(tmp_path, capsys):
+    # An infinite residual gate would switch off the membership check.
+    a = write_json(tmp_path / "a.json", np.diag([1.0, 2.0]))
+    b = write_json(tmp_path / "b.json", [[2.0, 1.0], [0.5, 3.0]])
+    assert main(["solve", a, b, "--tol-residual", "inf"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("error", [RankMismatchError, NotStarLinearError])

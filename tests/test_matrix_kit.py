@@ -151,6 +151,9 @@ def test_tolerances_validation():
         Tolerances(rank_rel=0.0)
     with pytest.raises(ValueError):
         Tolerances(residual_abs=-1e-8)
+    for field in ("rank_rel", "psd_rel", "residual_abs", "regular_rel"):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerances(**{field: float("inf")})
 
 
 def test_matrix_json_round_trip():
@@ -204,6 +207,11 @@ def test_psd_scale_of_a_stack_is_per_matrix():
     rng = np.random.default_rng(9)
     stack = rng.standard_normal((5, 3, 3))
     np.testing.assert_array_equal(psd_scale(stack), [psd_scale(h) for h in stack])
+
+
+def test_psd_scale_of_one_matrix_and_of_an_empty_one():
+    assert psd_scale(np.array([[1.0, 2.0], [3.0, -7.0]])) == 4.0  # |1 - 7| / 2 + 1
+    assert psd_scale(np.zeros((0, 0))) == 1.0
 
 
 def test_growing_chunks_double_until_the_element_cap():

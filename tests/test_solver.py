@@ -451,8 +451,10 @@ def test_solve_skew_makes_no_lstsq_call(monkeypatch):
 
 def test_solve_checks_regularity_once(monkeypatch):
     import prointerp.lyapunov as lyapunov_module
+    import prointerp.pro as pro_module
     import prointerp.solver as solver_module
 
+    a, b = feasible_distinct_pair(4, 3)  # evaluates f(A), so before counting
     calls = []
     real = lyapunov_module.is_lyapunov_regular
 
@@ -460,8 +462,7 @@ def test_solve_checks_regularity_once(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    for module in (lyapunov_module, solver_module):
+    for module in (lyapunov_module, pro_module, solver_module):
         monkeypatch.setattr(module, "is_lyapunov_regular", counting)
-    a, b = feasible_distinct_pair(4, 3)
     assert solve(a, b).status == "solved"
     assert len(calls) == 1
