@@ -114,14 +114,60 @@ def _quotient_map(a: np.ndarray, b: np.ndarray) -> LinearMatrixMap:
     return LinearMatrixMap(a.shape[0], mat)
 
 
+def _symmetric_lyap_matrix(a: np.ndarray) -> np.ndarray:
+    """L_A restricted to symmetric matrices, as a p x p matrix, p = n(n+1)/2.
+
+    Unknowns and equations are the entries (i, j), i <= j, in
+    ``np.triu_indices`` order: column (k, l) holds the upper triangle of
+    L_A(S_kl), with S_kl = E_kl + E_lk for k < l and S_kk = E_kk.  For
+    symmetric S, L_A(S) = S A + (S A)^T, and S_kl A has row A[l] at k and
+    row A[k] at l, so adding S A into the slot of (min(i, j), max(i, j))
+    gives (S A)[i, j] + (S A)[j, i] off the diagonal; diagonal slots get
+    one term and are doubled.  L_A is invertible on symmetric matrices
+    whenever ``a`` is Lyapunov regular.
+    """
+    n = a.shape[0]
+    k, l = np.triu_indices(n)
+    slot = np.empty((n, n), dtype=np.intp)
+    slot[k, l] = slot[l, k] = np.arange(k.size)
+    cols = np.arange(k.size)[:, None]
+    lsym = np.zeros((k.size, k.size))
+    lsym[slot[k], cols] = a[l]
+    off = k < l
+    lsym[slot[l[off]], cols[off]] += a[k[off]]
+    lsym[slot[np.arange(n), np.arange(n)]] *= 2.0
+    return lsym
+
+
+def _solve_symmetric(lsym: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The stack of H_c with L_A(H_c) = Q_c for a stack ``q`` of symmetric
+    Q_c, given ``lsym`` from :func:`_symmetric_lyap_matrix`.  Only the upper
+    triangles of the Q_c are read, and each H_c is filled from both
+    triangles of one solution vector, so it is exactly symmetric."""
+    n = q.shape[-1]
+    rows, cols = np.triu_indices(n)
+    x = np.linalg.solve(lsym, q[:, rows, cols].T).T
+    h = np.empty(q.shape)
+    h[:, rows, cols] = x
+    h[:, cols, rows] = x
+    return h
+
+
 def solve_lyapunov(a, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Solve H A + A^T H = Q for symmetric ``q`` and Lyapunov regular ``a``."""
+    """Solve H A + A^T H = sym(Q) = (Q + Q^T)/2 for Lyapunov regular ``a``.
+
+    The system is posed on symmetric H, in the n(n+1)/2 unknowns H[i, j],
+    i <= j, one equation per entry of the upper triangle of sym(Q); the
+    n^2 x n^2 matricization of L_A is never formed.  Since L_A commutes
+    with transposition, this H is also the symmetric part of the solution
+    of H A + A^T H = Q, and it is exactly symmetric.
+    """
     a, q = as_matrix(a), as_matrix(q)
+    if q.shape != a.shape:
+        raise ValueError(f"right-hand side has shape {q.shape}, expected {a.shape}")
     if not is_lyapunov_regular(a, tol):
         raise NotLyapunovRegularError("base point is not Lyapunov regular")
-    h = unvec(np.linalg.solve(lyap_map(a).matricization, vec(q)), *a.shape)
-    # Q symmetric forces a symmetric solution; clean up rounding.
-    return 0.5 * (h + h.T)
+    return _solve_symmetric(_symmetric_lyap_matrix(a), 0.5 * (q + q.T)[None])[0]
 
 
 def sample_lyapunov_solution(a, seed, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -163,11 +209,14 @@ def lyap_order_sample_test(
     ``(seed, trials)`` and the reported witness is the one with the smallest
     trial index.
 
-    L_A is built once per call and the trials run in chunks of 1, 2, 4, ...
-    (:func:`~prointerp.matrix_kit.growing_chunks`): each chunk solves all of
-    its right-hand sides vec(G G^T) against L_A in one call and checks the
-    stacked K = H B + B^T H with one batched eigenvalue call.  A witness at
-    trial 0 therefore costs one solve, and a clear run about log2(trials).
+    Every sampled H is symmetric, so the trials solve L_A on symmetric
+    matrices: a p x p system, p = n(n+1)/2, in the unknowns H[i, j],
+    i <= j, built once per call; the n^2 x n^2 L_A is never formed.  The
+    trials run in chunks of 1, 2, 4, ...
+    (:func:`~prointerp.matrix_kit.growing_chunks`): each chunk solves the
+    upper triangles of its G G^T in one call and checks the stacked
+    K = H B + B^T H with one batched eigenvalue call.  A witness at trial 0
+    therefore costs one solve, and a clear run about log2(trials).
     ``threads`` has no effect; it is kept only because the benchmark's
     ``perfbench/run.py`` passes ``threads=1``.
     """
@@ -180,15 +229,13 @@ def lyap_order_sample_test(
         raise NotLyapunovRegularError("base point is not Lyapunov regular")
 
     n = a.shape[0]
-    la = lyap_map(a).matricization
+    lsym = _symmetric_lyap_matrix(a)
     for start, stop in growing_chunks(trials, n * n):
-        rhs = np.empty((n * n, stop - start))
+        q = np.empty((stop - start, n, n))
         for col, t in enumerate(range(start, stop)):
             g = np.random.default_rng([seed, t]).standard_normal((n, n))
-            rhs[:, col] = vec(g @ g.T)
-        # Column c of the solution is vec(H_c); reading it row-major gives H_c^T.
-        h = np.linalg.solve(la, rhs).T.reshape(-1, n, n).transpose(0, 2, 1)
-        h = 0.5 * (h + h.transpose(0, 2, 1))
+            q[col] = g @ g.T
+        h = _solve_symmetric(lsym, q)
         k = h @ b + b.T @ h
         k = 0.5 * (k + k.transpose(0, 2, 1))
         hits = np.flatnonzero(np.linalg.eigvalsh(k)[:, 0] < -tol.psd_rel * psd_scale(k))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from prointerp.lyapunov import (
     sample_lyapunov_solution,
     solve_lyapunov,
 )
-from prointerp.matrix_kit import DEFAULT_TOL, psd_scale
+from prointerp.matrix_kit import DEFAULT_TOL, psd_scale, unvec, vec
 
 
 def test_lyap_map_matches_direct_formula():
@@ -125,6 +127,41 @@ def test_solve_lyapunov_random_residual():
     np.testing.assert_allclose(h, h.T, atol=1e-12)
 
 
+def test_solve_lyapunov_symmetrises_a_non_symmetric_q():
+    # H A + A^T H = Q has sym(H) as the solution for sym(Q), so both calls
+    # return the same H.
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((5, 5)) + 3 * np.eye(5)
+    q = rng.standard_normal((5, 5))
+    np.testing.assert_array_equal(solve_lyapunov(a, q), solve_lyapunov(a, 0.5 * (q + q.T)))
+
+
+def test_solve_lyapunov_rejects_a_right_hand_side_of_another_shape():
+    for q in (np.eye(3), np.ones((1, 4)), np.eye(1)):
+        with pytest.raises(ValueError):
+            solve_lyapunov(np.diag([1.0, 2.0]), q)
+
+
+# J_3(1) + [2] under a random similarity: defective, but Lyapunov regular.
+_JORDAN = np.diag([1.0, 1.0, 1.0, 2.0]) + np.diag([1.0, 1.0, 0.0], 1)
+_T = np.random.default_rng(3).standard_normal((4, 4))
+JORDAN_A = _T @ _JORDAN @ np.linalg.inv(_T)
+JORDAN_B = JORDAN_A + 0.03 * _T @ np.diag([0.0, 0.0, 0.0, 1.0]) @ np.linalg.inv(_T)
+
+
+def test_solve_lyapunov_on_defective_base_point():
+    assert is_lyapunov_regular(JORDAN_A)
+    rng = np.random.default_rng(6)
+    q = rng.standard_normal((4, 4))
+    q = q + q.T
+    h = solve_lyapunov(JORDAN_A, q)
+    assert np.array_equal(h, h.T)
+    assert np.linalg.norm(h @ JORDAN_A + JORDAN_A.T @ h - q) <= 1e-10
+    # the full n^2 x n^2 system gives the same H
+    full = unvec(np.linalg.solve(lyap_map(JORDAN_A).matricization, vec(q)), 4, 4)
+    assert np.linalg.norm(h - full) <= 1e-12 * np.linalg.norm(full)
+
+
 def test_sample_lyapunov_solution_lands_in_cone():
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
     for seed in range(5):
@@ -236,3 +273,33 @@ def test_order_test_factors_l_a_once_per_chunk(monkeypatch):
     result = lyap_order_sample_test(a, 2.0 * a, trials=100, seed=0)
     assert not result.violated
     assert 0 < len(calls) <= int(np.ceil(np.log2(101))) + 1
+
+
+@pytest.mark.parametrize("seed,first", [(0, 2), (3, 23)])
+def test_order_test_on_defective_base_point_matches_per_trial_loop(seed, first):
+    index, h_ref = reference_order_test(JORDAN_A, JORDAN_B, 200, seed)
+    assert index == first
+    result = lyap_order_sample_test(JORDAN_A, JORDAN_B, trials=200, seed=seed)
+    assert result.violated and result.trial_index == first
+    assert np.linalg.norm(result.witness - h_ref) <= 1e-12 * np.linalg.norm(h_ref)
+
+
+def test_order_test_memory_stays_below_the_full_l_a(monkeypatch):
+    # The n^2 x n^2 L_A alone is 1.22 MiB at n = 20; the p x p system on
+    # symmetric H, p = 210, is 0.34 MiB.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lyap_map called")
+
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    a = q @ np.diag(np.linspace(1.0, 3.0, 20)) @ q.T
+    lyap_order_sample_test(a, 2.0 * a, trials=100, seed=0)
+    monkeypatch.setattr("prointerp.lyapunov.lyap_map", forbidden)
+    tracemalloc.start()
+    try:
+        result = lyap_order_sample_test(a, 2.0 * a, trials=100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.violated
+    assert peak < 2 * 2**20
