@@ -55,8 +55,10 @@ class ProRealization:
     m_lower: np.ndarray
 
     def __post_init__(self):
-        ell = np.atleast_1d(np.asarray(self.ell, dtype=float)).reshape(-1)
-        low = np.atleast_1d(np.asarray(self.m_lower, dtype=float)).reshape(-1)
+        # own copies: a frozen realization must not follow later writes to
+        # the caller's arrays, nor keep the arrays they are views of alive
+        ell = np.array(np.reshape(self.ell, -1), dtype=float)
+        low = np.array(np.reshape(self.m_lower, -1), dtype=float)
         m = ell.size
         if low.size != m * (m - 1) // 2:
             raise ValueError(
@@ -94,7 +96,7 @@ class ProRealization:
             raise ValueError(
                 f"state matrix is not skew-symmetric: ||M + M^T||_F = {defect:.3e}"
             )
-        return cls(np.asarray(ell, dtype=float).reshape(-1), _strict_lower(0.5 * (mm - mm.T)))
+        return cls(ell, _strict_lower(0.5 * (mm - mm.T)))
 
     def poles(self) -> np.ndarray:
         """Eigenvalues of M (all purely imaginary), candidate poles of f."""

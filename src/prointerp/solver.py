@@ -16,6 +16,16 @@ row and the trailing block of S yields f(z) = ell (z I - M)^{-1} ell^T with
 f(A) = B.  The skew least squares splits, in the right singular basis of
 the pencil, into one 2 x 1 problem per entry pair of S, each solved in
 closed form (:func:`solve_skew`).
+
+:func:`solve` runs the regularity and membership gates at the full size n
+and everything from L_{A,B} to the skew solve at size d = m_max, on the
+cyclic core (A_d, B_d): the matrices of X -> A X and X -> B X on
+{A}'' = R[A] in its orthonormal power basis.  f(A) = B holds exactly when
+f(A_d) = B_d, because f(A) depends only on f and its derivatives on the
+spectrum at minimal-polynomial multiplicities, and A_d has A's minimal
+polynomial.  The final f(A) check still runs on the original A and B.
+:func:`hill_pick` keeps the full-size Hill data, whose n x n coefficients
+pair with the original A.
 """
 
 from __future__ import annotations
@@ -93,25 +103,38 @@ def standard_collection(n: int):
     return out
 
 
-def _hill_stage(a, b, tol: Tolerances):
-    """The gates in front of the Hill-Pick matrix, cheapest first: Lyapunov
-    regularity, membership in {A}'', L_{A,B}, minimal Hill.  Returns (error,
-    m_max, rep): the first failing gate's exception or None, with the
-    products computed up to that gate and None for the rest.
+def _gates(a, b, tol: Tolerances):
+    """The gates in front of the Hill stage, cheapest first: Lyapunov
+    regularity and membership in {A}''.  Returns (error, basis): the first
+    failing gate's exception or None, and the power basis of {A}'' (None
+    when regularity fails).
     """
-    a, b = as_matrix(a), as_matrix(b)
     if not is_lyapunov_regular(a, tol):
-        err = NotLyapunovRegularError("base point has an eigenvalue pair summing to zero at tolerance")
-        return err, None, None
+        return NotLyapunovRegularError("base point has an eigenvalue pair summing to zero at tolerance"), None
     bic = bicommutant_basis(a, tol)
     mem = membership(b, bic, tol)
     if not mem.is_member:
-        err = NotInBicommutantError(f"target is not in the bicommutant: residual {mem.residual:.6e}")
-        return err, bic.dim, None
+        return NotInBicommutantError(f"target is not in the bicommutant: residual {mem.residual:.6e}"), bic
+    return None, bic
+
+
+def _hill_step(a, b, tol: Tolerances):
+    """Minimal Hill representation of L_{A,B} for a pair that passed the
+    gates: (error, rep), with the Hill extraction's exception or None."""
     try:
-        return None, bic.dim, minimal_hill(_quotient_map(a, b), tol)
+        return None, minimal_hill(_quotient_map(a, b), tol)
     except (NotStarLinearError, RankMismatchError) as exc:
-        return type(exc)(f"Hill extraction failed: {exc}"), bic.dim, None
+        return type(exc)(f"Hill extraction failed: {exc}"), None
+
+
+def _cyclic_core(bic, a, b):
+    """(A_d, B_d), the d x d matrices of X -> A X and X -> B X on
+    {A}'' = R[A] in its orthonormal power basis Q: entry (j, k) of A_d is
+    <Q_j, A Q_k>_F.  See the module docstring for why f(A_d) = B_d decides
+    f(A) = B."""
+    q = np.array(bic.basis)
+    flat = q.reshape(bic.dim, -1)
+    return tuple(flat @ (x @ q).reshape(bic.dim, -1).T for x in (a, b))
 
 
 def hill_pick(a, b, tol: Tolerances = DEFAULT_TOL):
@@ -122,10 +145,13 @@ def hill_pick(a, b, tol: Tolerances = DEFAULT_TOL):
     NotLyapunovRegularError, NotInBicommutantError, or the NotStarLinearError
     or RankMismatchError of a failed Hill extraction.
     """
-    err, mm, rep = _hill_stage(a, b, tol)
+    a, b = as_matrix(a), as_matrix(b)
+    err, bic = _gates(a, b, tol)
+    if err is None:
+        err, rep = _hill_step(a, b, tol)
     if err is not None:
         raise err
-    return rep.hill_matrix, rep.coefficients, rep.m, mm
+    return rep.hill_matrix, rep.coefficients, rep.m, bic.dim
 
 
 @dataclass(frozen=True)
@@ -269,7 +295,11 @@ def perturb_free_block(s, pencils: PencilPair, seed: int = 0, tol: Tolerances = 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Full outcome of :func:`solve`, serializable to the documented JSON."""
+    """Full outcome of :func:`solve`, serializable to the documented JSON.
+
+    ``hill_pick`` is the Hill-Pick matrix of the d x d cyclic core: same
+    inertia as the full-size one of :func:`hill_pick`, different scale.
+    """
 
     status: str
     hill_pick: Optional[np.ndarray]
@@ -304,6 +334,12 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
     negative eigenvalue: no interpolant exists), and numerical_failure for
     borderline or inconsistent numerics.  Success returns status "solved"
     with a realization satisfying ||f(A) - B||_F <= residual_abs (1 + ||B||_F).
+
+    The Hill stage, the pencils and the skew solve run at size d = m_max on
+    the cyclic core (A_d, B_d); the f(A) check runs at full size on the
+    original A and B.  So ``hill_pick`` in the report is the core's Hill-Pick
+    matrix: it has the inertia of the one :func:`hill_pick` returns, not its
+    scale.
     """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
@@ -312,7 +348,11 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
     if n == 0:
         raise ValueError("empty matrices are not meaningful interpolation data")
 
-    err, mm, rep = _hill_stage(a, b, tol)
+    err, bic = _gates(a, b, tol)
+    mm = None if bic is None else bic.dim
+    if err is None:
+        a_d, b_d = _cyclic_core(bic, a, b)
+        err, rep = _hill_step(a_d, b_d, tol)
     if err is not None:
         status = _GATE_STATUS.get(type(err), "numerical_failure")
         return SolveReport(status, None, None, mm, None, None, None, str(err))
@@ -346,10 +386,10 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
         )
 
     try:
-        pencils = build_pencils(a, b, h, rep.coefficients, [np.eye(n)], tol)
+        pencils = build_pencils(a_d, b_d, h, rep.coefficients, [np.eye(mm)], tol)
         s, skew_residual = solve_skew(pencils, tol)
         f = extract_realization(s)
-        fa = _eval_pencil(f, a)  # A passed the regularity gate in _hill_stage
+        fa = _eval_pencil(f, a)  # the original A, which passed the regularity gate
     except (NotPositiveDefiniteError, ResidualTooLargeError, SingularPencilError, np.linalg.LinAlgError) as exc:
         return SolveReport(
             "numerical_failure", h, m, mm, None, None, None,

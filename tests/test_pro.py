@@ -67,6 +67,23 @@ def test_lower_triangle_length_validation():
         ProRealization([1.0, 2.0], [0.5, 0.5])  # needs exactly 1 entry for m = 2
 
 
+def test_realization_owns_its_arrays():
+    # later writes to the caller's arrays do not reach a frozen realization,
+    # and a solved report does not keep the skew S that ell was read from alive
+    from prointerp.solver import solve
+
+    ell, low = np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.25, 0.125])
+    f = ProRealization(ell, low)
+    before = f.state_matrix.copy()
+    ell[0], low[0] = 99.0, 99.0
+    np.testing.assert_array_equal(f.ell, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(f.state_matrix, before)
+    report = solve(np.diag([1.0, 2.0]), np.diag([2.0, 3.0]))
+    assert report.status == "solved"
+    assert report.realization.ell.base is None
+    assert report.realization.m_lower.base is None
+
+
 def test_json_round_trip():
     f = rational_18z()
     obj = f.to_json()

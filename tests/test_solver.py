@@ -270,25 +270,58 @@ def test_solve_round_trip_on_random_instance():
     np.testing.assert_allclose(eval_matrix(report.realization, a), b, atol=1e-8)
 
 
-def test_solve_clustered_sixteen_by_four():
-    # k = 4 eigenvalues each repeated four times: n = 16 but m_max = 4.
-    # f(z) = sum_j rho_j^2 z / (z^2 + w_j^2) has state dimension 4, so the
-    # Hill size is m = 4 = m_max and the pair is feasible by construction.
-    rng = np.random.default_rng(16)
-    lam = np.repeat([0.6, 1.2, 1.9, 2.7], 4)
-    q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
-    t = q @ np.diag(rng.uniform(1.0, 2.0, 16))
+def clustered_pair(n, seed):
+    """k = 4 eigenvalues each repeated n/4 times, so m_max = 4, and B = f(A)
+    for f(z) = sum_j rho_j^2 z / (z^2 + w_j^2) of state dimension 4: the
+    Hill size is m = 4 = m_max and the pair is feasible by construction."""
+    rng = np.random.default_rng(seed)
+    lam = np.repeat([0.6, 1.2, 1.9, 2.7], n // 4)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    t = q @ np.diag(rng.uniform(1.0, 2.0, n))
     t_inv = np.linalg.inv(t)
     w, rho2 = np.array([0.8, 2.2]), np.array([1.0, 0.6])
     f_lam = (rho2 * lam[:, None] / (lam[:, None] ** 2 + w**2)).sum(axis=1)
-    a = t @ np.diag(lam) @ t_inv
-    b = t @ np.diag(f_lam) @ t_inv
+    return t @ np.diag(lam) @ t_inv, t @ np.diag(f_lam) @ t_inv
+
+
+def test_solve_clustered_sixteen_by_four():
+    a, b = clustered_pair(16, seed=16)
     report = solve(a, b)
     assert report.status == "solved"
     assert report.m == report.m_max == 4
     gate = 1e-8 * (1 + np.linalg.norm(b))
     assert report.interp_residual <= gate
     assert np.linalg.norm(eval_matrix(report.realization, a) - b) <= gate
+
+
+def test_solve_runs_the_hill_stage_on_the_cyclic_core(monkeypatch):
+    # n = 40 with m_max = 4: L_{A,B}, its Choi matrix and the pencils are
+    # built at d = 4, so no n^2 x n^2 array (19.5 MiB at n = 40) is allocated
+    import tracemalloc
+
+    import prointerp.solver as solver_module
+
+    a, b = clustered_pair(40, seed=40)
+    real = solver_module._quotient_map
+    shapes = []
+
+    def spy(x, y):
+        shapes.append((x.shape, y.shape))
+        return real(x, y)
+
+    monkeypatch.setattr(solver_module, "_quotient_map", spy)
+    tracemalloc.start()
+    try:
+        report = solve(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.status == "solved" and report.m == report.m_max == 4
+    gate = 1e-8 * (1 + np.linalg.norm(b))
+    assert report.interp_residual <= gate
+    assert np.linalg.norm(eval_matrix(report.realization, a) - b) <= gate
+    assert peak < 4 * 2**20
+    assert shapes == [((4, 4), (4, 4))]
 
 
 def feasible_distinct_pair(n, seed):
@@ -466,3 +499,77 @@ def test_solve_checks_regularity_once(monkeypatch):
         monkeypatch.setattr(module, "is_lyapunov_regular", counting)
     assert solve(a, b).status == "solved"
     assert len(calls) == 1
+
+
+def jordan_sum(*blocks):
+    """Direct sum of Jordan blocks J_k(lam), given as (lam, k) pairs."""
+    n = sum(k for _, k in blocks)
+    out = np.zeros((n, n))
+    i = 0
+    for lam, k in blocks:
+        out[i : i + k, i : i + k] = lam * np.eye(k) + np.eye(k, k=1)
+        i += k
+    return out
+
+
+DEROGATORY = {
+    "J2(1)+J1(1)+J1(2)": jordan_sum((1.0, 2), (1.0, 1), (2.0, 1)),
+    "J3(1)+J1(1)": jordan_sum((1.0, 3), (1.0, 1)),
+    "J4(1)+J2(2)": jordan_sum((1.0, 4), (2.0, 2)),
+    "diag(1,1,2,2,3,3)": np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]),
+}
+
+
+def inertia(h):
+    w = np.linalg.eigvalsh(h)
+    return int((w > 0).sum()), int((w < 0).sum())
+
+
+def derogatory_targets(a, seed):
+    """f(A) and -f(A) for an f with m_max states (solved, infeasible), f(A)
+    for a 2-state f (not_suboptimal), and a perturbed f(A) off {A}''."""
+    from prointerp.commutant import m_max
+    from prointerp.pro import ProRealization
+
+    rng = np.random.default_rng(seed)
+
+    def f_of_a(states):
+        g = rng.standard_normal((states, states))
+        return eval_matrix(ProRealization.from_state_space(rng.standard_normal(states), g - g.T), a)
+
+    b = f_of_a(m_max(a))
+    off = b + 1e-3 * np.linalg.norm(b) * rng.standard_normal(b.shape)
+    return {"f": b, "minus_f": -b, "two_state_f": f_of_a(2), "off": off}
+
+
+def similarities(n, seed):
+    """A random orthogonal Q and a general T = U diag(s) V^T, s in [1, 10]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.concatenate([[1.0, 10.0], rng.uniform(1.0, 10.0, n - 2)])
+    return {"orthogonal": q, "general": u @ np.diag(s) @ v.T}
+
+
+@pytest.mark.parametrize("name", list(DEROGATORY))
+def test_verdicts_are_similarity_invariant_on_derogatory_a(name):
+    # solve runs the Hill stage on the d x d cyclic core of A; status, m and
+    # m_max must not see the similarity, and the core's Hill-Pick matrix must
+    # have the inertia of the full-size one that hill_pick returns
+    a = DEROGATORY[name]
+    statuses = set()
+    for i, (label, b) in enumerate(derogatory_targets(a, seed=5).items()):
+        base = solve(a, b)
+        statuses.add(base.status)
+        for kind, t in similarities(a.shape[0], seed=i).items():
+            t_inv = np.linalg.inv(t)
+            assert np.linalg.cond(t) <= 10.0 + 1e-9
+            moved = solve(t @ a @ t_inv, t @ b @ t_inv)
+            assert (moved.status, moved.m, moved.m_max) == (base.status, base.m, base.m_max), (label, kind)
+            if moved.hill_pick is not None:
+                h_full = hill_pick(t @ a @ t_inv, t @ b @ t_inv)[0]
+                assert inertia(moved.hill_pick) == inertia(h_full), (label, kind)
+        if base.hill_pick is not None:
+            assert inertia(base.hill_pick) == inertia(hill_pick(a, b)[0]), label
+    assert statuses == {"solved", "infeasible", "not_suboptimal", "not_in_bicommutant"}
