@@ -219,13 +219,16 @@ def matrix_from_json(obj) -> np.ndarray:
     missing = {"rows", "cols", "data"} - obj.keys()
     if missing:
         raise ValueError(f"matrix JSON is missing keys: {sorted(missing)}")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    if rows < 0 or cols < 0:
-        raise ValueError("rows and cols must be nonnegative")
-    data = obj["data"]
-    if len(data) != rows or any(len(r) != cols for r in data):
-        raise ValueError("data shape does not match rows/cols")
-    return np.asarray(data, dtype=float).reshape(rows, cols)
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        if rows < 0 or cols < 0:
+            raise ValueError("rows and cols must be nonnegative")
+        data = obj["data"]
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise ValueError("data shape does not match rows/cols")
+        return np.asarray(data, dtype=float).reshape(rows, cols)
+    except TypeError as exc:  # a scalar or an object where a list or number belongs
+        raise ValueError(f"malformed matrix JSON: {exc}") from None
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

@@ -118,11 +118,15 @@ class ProRealization:
         missing = {"m", "ell", "M_lower"} - obj.keys()
         if missing:
             raise ValueError(f"realization JSON is missing keys: {sorted(missing)}")
-        m = int(obj["m"])
-        ell = np.asarray(obj["ell"], dtype=float).reshape(-1)
+        try:
+            m = int(obj["m"])
+            ell = np.asarray(obj["ell"], dtype=float).reshape(-1)
+            low = np.asarray(obj["M_lower"], dtype=float).reshape(-1)
+        except TypeError as exc:  # a list or an object where a number belongs
+            raise ValueError(f"malformed realization JSON: {exc}") from None
         if ell.size != m:
             raise ValueError(f"ell has {ell.size} entries, expected m = {m}")
-        return cls(ell, np.asarray(obj["M_lower"], dtype=float).reshape(-1))
+        return cls(ell, low)
 
 
 def eval_scalar(f: ProRealization, z, tol: Tolerances = DEFAULT_TOL) -> complex:

@@ -24,8 +24,8 @@ cyclic core (A_d, B_d): the matrices of X -> A X and X -> B X on
 f(A_d) = B_d, because f(A) depends only on f and its derivatives on the
 spectrum at minimal-polynomial multiplicities, and A_d has A's minimal
 polynomial.  The final f(A) check still runs on the original A and B.
-:func:`hill_pick` keeps the full-size Hill data, whose n x n coefficients
-pair with the original A.
+:func:`hill_pick` runs the same stage and lifts the core coefficients to
+n x n, so it reports the same H as :func:`solve`.
 """
 
 from __future__ import annotations
@@ -103,55 +103,57 @@ def standard_collection(n: int):
     return out
 
 
-def _gates(a, b, tol: Tolerances):
-    """The gates in front of the Hill stage, cheapest first: Lyapunov
-    regularity and membership in {A}''.  Returns (error, basis): the first
-    failing gate's exception or None, and the power basis of {A}'' (None
-    when regularity fails).
+def _hill_stage(a, b, tol: Tolerances):
+    """The Hill stage :func:`solve` and :func:`hill_pick` share: regularity
+    and membership in {A}'' at full size, then the cyclic core (A_d, B_d),
+    A_d[j, k] = <Q_j, A Q_k>_F in the power basis Q of {A}'', and the
+    minimal Hill representation of L_{A_d,B_d}.
+
+    Returns (error, basis, core, rep): the first failure's exception or None,
+    then what was built before it (None from the failing step on).
     """
     if not is_lyapunov_regular(a, tol):
-        return NotLyapunovRegularError("base point has an eigenvalue pair summing to zero at tolerance"), None
+        err = NotLyapunovRegularError("base point has an eigenvalue pair summing to zero at tolerance")
+        return err, None, None, None
     bic = bicommutant_basis(a, tol)
     mem = membership(b, bic, tol)
     if not mem.is_member:
-        return NotInBicommutantError(f"target is not in the bicommutant: residual {mem.residual:.6e}"), bic
-    return None, bic
-
-
-def _hill_step(a, b, tol: Tolerances):
-    """Minimal Hill representation of L_{A,B} for a pair that passed the
-    gates: (error, rep), with the Hill extraction's exception or None."""
-    try:
-        return None, minimal_hill(_quotient_map(a, b), tol)
-    except (NotStarLinearError, RankMismatchError) as exc:
-        return type(exc)(f"Hill extraction failed: {exc}"), None
-
-
-def _cyclic_core(bic, a, b):
-    """(A_d, B_d), the d x d matrices of X -> A X and X -> B X on
-    {A}'' = R[A] in its orthonormal power basis Q: entry (j, k) of A_d is
-    <Q_j, A Q_k>_F.  See the module docstring for why f(A_d) = B_d decides
-    f(A) = B."""
+        err = NotInBicommutantError(f"target is not in the bicommutant: residual {mem.residual:.6e}")
+        return err, bic, None, None
     q = np.array(bic.basis)
     flat = q.reshape(bic.dim, -1)
-    return tuple(flat @ (x @ q).reshape(bic.dim, -1).T for x in (a, b))
+    core = tuple(flat @ (x @ q).reshape(bic.dim, -1).T for x in (a, b))
+    try:
+        return None, bic, core, minimal_hill(_quotient_map(*core), tol)
+    except (NotStarLinearError, RankMismatchError) as exc:
+        return type(exc)(f"Hill extraction failed: {exc}"), bic, core, None
 
 
 def hill_pick(a, b, tol: Tolerances = DEFAULT_TOL):
     """Hill-Pick data of the pair (A, B): the matrix H whose definiteness
     decides feasibility, the coefficients C_k, and the sizes (m, m_max).
 
+    H is the one :func:`solve` reports: the eigenvalues of the core's Choi
+    matrix, which are not those of the n^2 x n^2 one when d = m_max < n, but
+    have the same signs and number.  The core coefficients are lifted to
+    n x n: L_{A,B} and the core map are one form sum_jk N_jk q_j^T V q_k at
+    A and at A_d, where Q_j = q_j(A) is the power basis of {A}''.  Since
+    Q_0 = I / sqrt(n), q_j(A_d) e_0 = e_j / sqrt(n), so a core coefficient
+    sum_j u_jk q_j(A_d)^T has u_k = sqrt(n) times its first row, and
+    C_k = sum_j u_jk Q_j^T.  These m coefficients are a minimal full-size
+    representation, but not orthonormal as :func:`minimal_hill`'s are.
+
     Raises the exception of the first gate of :func:`solve` that fails:
     NotLyapunovRegularError, NotInBicommutantError, or the NotStarLinearError
     or RankMismatchError of a failed Hill extraction.
     """
     a, b = as_matrix(a), as_matrix(b)
-    err, bic = _gates(a, b, tol)
-    if err is None:
-        err, rep = _hill_step(a, b, tol)
+    err, bic, _, rep = _hill_stage(a, b, tol)
     if err is not None:
         raise err
-    return rep.hill_matrix, rep.coefficients, rep.m, bic.dim
+    q = np.array(bic.basis)
+    coefficients = tuple(np.sqrt(a.shape[0]) * np.tensordot(c[0], q, axes=1).T for c in rep.coefficients)
+    return rep.hill_matrix, coefficients, rep.m, bic.dim
 
 
 @dataclass(frozen=True)
@@ -295,11 +297,7 @@ def perturb_free_block(s, pencils: PencilPair, seed: int = 0, tol: Tolerances = 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Full outcome of :func:`solve`, serializable to the documented JSON.
-
-    ``hill_pick`` is the Hill-Pick matrix of the d x d cyclic core: same
-    inertia as the full-size one of :func:`hill_pick`, different scale.
-    """
+    """Full outcome of :func:`solve`, serializable to the documented JSON."""
 
     status: str
     hill_pick: Optional[np.ndarray]
@@ -337,9 +335,7 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
 
     The Hill stage, the pencils and the skew solve run at size d = m_max on
     the cyclic core (A_d, B_d); the f(A) check runs at full size on the
-    original A and B.  So ``hill_pick`` in the report is the core's Hill-Pick
-    matrix: it has the inertia of the one :func:`hill_pick` returns, not its
-    scale.
+    original A and B.
     """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
@@ -348,11 +344,8 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
     if n == 0:
         raise ValueError("empty matrices are not meaningful interpolation data")
 
-    err, bic = _gates(a, b, tol)
+    err, bic, core, rep = _hill_stage(a, b, tol)
     mm = None if bic is None else bic.dim
-    if err is None:
-        a_d, b_d = _cyclic_core(bic, a, b)
-        err, rep = _hill_step(a_d, b_d, tol)
     if err is not None:
         status = _GATE_STATUS.get(type(err), "numerical_failure")
         return SolveReport(status, None, None, mm, None, None, None, str(err))
@@ -386,7 +379,7 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
         )
 
     try:
-        pencils = build_pencils(a_d, b_d, h, rep.coefficients, [np.eye(mm)], tol)
+        pencils = build_pencils(*core, h, rep.coefficients, [np.eye(mm)], tol)
         s, skew_residual = solve_skew(pencils, tol)
         f = extract_realization(s)
         fa = _eval_pencil(f, a)  # the original A, which passed the regularity gate

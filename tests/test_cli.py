@@ -160,6 +160,11 @@ def test_io_failures_exit_1(tmp_path, capsys):
     assert main(["solve", str(garbled), ok]) == 1
     err = capsys.readouterr().err
     assert err.strip() != ""
+    # well-formed JSON with a scalar where the rows belong
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text(json.dumps({"rows": 1, "cols": 1, "data": 5}))
+    assert main(["solve", str(scalar), ok]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_text_matrix_input_round_trip(capsys, tmp_path):

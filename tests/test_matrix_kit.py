@@ -170,6 +170,8 @@ def test_matrix_json_round_trip():
     {"rows": 2, "cols": 2, "data": [[1.0, 2.0]]},
     {"rows": 1, "cols": 3, "data": [[1.0, 2.0]]},
     [1, 2, 3],
+    {"rows": 1, "cols": 1, "data": 5},
+    {"rows": 1, "cols": 1, "data": [5]},
 ])
 def test_matrix_from_json_rejects_malformed(broken):
     with pytest.raises(ValueError):

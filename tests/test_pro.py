@@ -99,6 +99,8 @@ def test_json_round_trip():
     {"m": 3, "ell": [1.0, 2.0], "M_lower": [0.0, 0.0, 0.0]},
     {"m": 2, "ell": [1.0, 2.0], "M_lower": [0.0, 0.0]},
     "nope",
+    {"m": [1], "ell": [1.0], "M_lower": []},
+    {"m": 2, "ell": [1.0, 2.0], "M_lower": {"x": 1}},
 ])
 def test_from_json_rejects_malformed(broken):
     with pytest.raises(ValueError):

@@ -324,6 +324,44 @@ def test_solve_runs_the_hill_stage_on_the_cyclic_core(monkeypatch):
     assert shapes == [((4, 4), (4, 4))]
 
 
+def test_hill_pick_runs_on_the_cyclic_core(monkeypatch, tmp_path, capsys):
+    # hill_pick and `prointerp hill` share solve's Hill stage at d = 4 and
+    # only lift its coefficients to 40 x 40: no n^2 x n^2 array is built
+    import tracemalloc
+
+    import prointerp.solver as solver_module
+    from prointerp.cli import main
+    from prointerp.matrix_kit import matrix_to_json
+
+    a, b = clustered_pair(40, seed=40)
+    real = solver_module._quotient_map
+    shapes = []
+
+    def spy(x, y):
+        shapes.append((x.shape, y.shape))
+        return real(x, y)
+
+    monkeypatch.setattr(solver_module, "_quotient_map", spy)
+    tracemalloc.start()
+    try:
+        h, c, m, mm = hill_pick(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shapes == [((4, 4), (4, 4))]
+    assert peak < 4 * 2**20
+    assert m == mm == 4 and len(c) == 4 and c[0].shape == (40, 40)
+
+    paths = []
+    for name, x in (("a", a), ("b", b)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(matrix_to_json(x)))
+        paths.append(str(path))
+    assert main(["hill", *paths, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["m"] == out["m_max"] == 4
+
+
 def feasible_distinct_pair(n, seed):
     """A = T diag(spectrum) T^{-1} and B = f(A) for a random positive real
     odd f with n states, so the pair is feasible by construction."""
@@ -520,11 +558,6 @@ DEROGATORY = {
 }
 
 
-def inertia(h):
-    w = np.linalg.eigvalsh(h)
-    return int((w > 0).sum()), int((w < 0).sum())
-
-
 def derogatory_targets(a, seed):
     """f(A) and -f(A) for an f with m_max states (solved, infeasible), f(A)
     for a 2-state f (not_suboptimal), and a perturbed f(A) off {A}''."""
@@ -552,11 +585,28 @@ def similarities(n, seed):
     return {"orthogonal": q, "general": u @ np.diag(s) @ v.T}
 
 
+def assert_one_hill_pick(report, a, b, seed):
+    """The report's H is hill_pick's, and hill_pick's lifted (H, C_k)
+    reproduce L_{A,B} at full size on random V."""
+    from prointerp.hill import HillRepresentation, apply_hill
+    from prointerp.lyapunov import lab_map
+
+    h, c, m, _ = hill_pick(a, b)
+    assert np.array_equal(report.hill_pick, h)
+    rep = HillRepresentation(a.shape[0], m, c, h)
+    lmap = lab_map(a, b)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        v = rng.standard_normal(a.shape)
+        want = lmap.apply(v)
+        assert np.linalg.norm(apply_hill(rep, v) - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
+
+
 @pytest.mark.parametrize("name", list(DEROGATORY))
 def test_verdicts_are_similarity_invariant_on_derogatory_a(name):
     # solve runs the Hill stage on the d x d cyclic core of A; status, m and
-    # m_max must not see the similarity, and the core's Hill-Pick matrix must
-    # have the inertia of the full-size one that hill_pick returns
+    # m_max must not see the similarity, hill_pick must report the same H,
+    # and its coefficients, lifted to full size, must represent L_{A,B}
     a = DEROGATORY[name]
     statuses = set()
     for i, (label, b) in enumerate(derogatory_targets(a, seed=5).items()):
@@ -568,8 +618,7 @@ def test_verdicts_are_similarity_invariant_on_derogatory_a(name):
             moved = solve(t @ a @ t_inv, t @ b @ t_inv)
             assert (moved.status, moved.m, moved.m_max) == (base.status, base.m, base.m_max), (label, kind)
             if moved.hill_pick is not None:
-                h_full = hill_pick(t @ a @ t_inv, t @ b @ t_inv)[0]
-                assert inertia(moved.hill_pick) == inertia(h_full), (label, kind)
+                assert_one_hill_pick(moved, t @ a @ t_inv, t @ b @ t_inv, seed=i)
         if base.hill_pick is not None:
-            assert inertia(base.hill_pick) == inertia(hill_pick(a, b)[0]), label
+            assert_one_hill_pick(base, a, b, seed=i)
     assert statuses == {"solved", "infeasible", "not_suboptimal", "not_in_bicommutant"}
