@@ -6,7 +6,8 @@ bicommutant {A}'' is the unital algebra R[A] generated by A (the double
 commutant theorem), and its dimension is the degree of the minimal
 polynomial.  It is therefore built as the Krylov power basis of A, the span
 of I, A, A^2, ..., with Arnoldi orthonormalisation in the vec (Frobenius)
-inner product, and never as the nullspace of a stacked operator.
+inner product, and never as the nullspace of a stacked operator.  That one
+Arnoldi pass also gives the Hessenberg matrix H of X -> A X on the basis.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ class SubspaceBasis:
     basis: tuple
 
     def __post_init__(self):
-        mats = tuple(as_matrix(b) for b in self.basis)
-        for b in mats:
-            if b.shape != (self.n, self.n):
-                raise ValueError(f"basis element has shape {b.shape}, expected square of size {self.n}")
-        object.__setattr__(self, "basis", mats)
+        shape = (len(self.basis), self.n, self.n)
+        stack = np.asarray(self.basis, dtype=float) if shape[0] else np.zeros(shape)  # ValueError if ragged
+        if stack.shape != shape or not np.all(np.isfinite(stack)):
+            raise ValueError(f"basis must be {shape[0]} finite matrices of shape {shape[1:]}")
+        object.__setattr__(self, "basis", tuple(stack))
 
     @property
     def dim(self) -> int:
@@ -75,30 +76,44 @@ def commutant_basis(a, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     return SubspaceBasis(n, tuple(unvec(null[:, j], n, n) for j in range(null.shape[1])))
 
 
-def bicommutant_basis(a, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of {A}'' = R[A], the Krylov power basis of ``a``.
+def _arnoldi(a: np.ndarray, tol: Tolerances):
+    """The power basis of {A}'' and the matrix of X -> A X on it.
 
     Arnoldi in the vec inner product: q_0 = I / sqrt(n), and each A q_k is
     orthogonalised twice against q_0..q_k.  The basis stops at the first
     remainder w with ||w||_F <= rank_rel * ||A q_k||_F, that is, at the
-    first power of A that depends on the lower ones, so the basis starts
-    with I / sqrt(n) and its length is the degree of the minimal
-    polynomial.  By Cayley-Hamilton it has at most n elements.
+    first power of A that depends on the lower ones, so its length d is the
+    degree of the minimal polynomial; by Cayley-Hamilton d <= n.
+
+    Returns the d x n x n stack Q and the d x d upper Hessenberg H with
+    A Q_k = sum_j H_jk Q_j up to the dropped remainder: both passes'
+    coefficients, ||w||_F below the diagonal, and a last column also when d = n.
     """
-    a = _square(a, "bicommutant_basis")
     n = a.shape[0]
-    basis = [np.eye(n) / np.sqrt(n)]
-    for _ in range(n - 1):
-        aq = a @ basis[-1]
-        q = np.array(basis).reshape(len(basis), n * n)
-        w = aq.reshape(n * n)
+    q = [np.eye(n).reshape(n * n) / np.sqrt(n)]
+    h = np.zeros((n, n))
+    for k in range(n):
+        flat = np.array(q)
+        aq = (a @ q[k].reshape(n, n)).reshape(n * n)
+        w = aq
         for _ in range(2):
-            w = w - (q @ w) @ q
+            c = flat @ w
+            w = w - c @ flat
+            h[: k + 1, k] += c
         norm = np.linalg.norm(w)
-        if norm <= tol.rank_rel * np.linalg.norm(aq):
+        if k == n - 1 or norm <= tol.rank_rel * np.linalg.norm(aq):
             break
-        basis.append((w / norm).reshape(n, n))
-    return SubspaceBasis(n, tuple(basis))
+        h[k + 1, k] = norm
+        q.append(w / norm)
+    return flat.reshape(k + 1, n, n), h[: k + 1, : k + 1].copy()  # a view would pin all n x n
+
+
+def bicommutant_basis(a, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
+    """Orthonormal basis of {A}'' = R[A], the Krylov power basis of ``a``
+    (see :func:`_arnoldi`): it starts with I / sqrt(n) and its length is the
+    degree of the minimal polynomial."""
+    a = _square(a, "bicommutant_basis")
+    return SubspaceBasis(a.shape[0], _arnoldi(a, tol)[0])
 
 
 def m_max(a, tol: Tolerances = DEFAULT_TOL) -> int:

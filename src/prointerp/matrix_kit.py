@@ -212,6 +212,13 @@ def matrix_to_json(x: np.ndarray) -> dict:
     return {"rows": int(x.shape[0]), "cols": int(x.shape[1]), "data": x.tolist()}
 
 
+def _json_size(value, name: str) -> int:
+    """A JSON size: an int or integral float, not a bool or string as int() allows."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the documented JSON object back into a matrix."""
     if not isinstance(obj, dict):
@@ -220,7 +227,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if missing:
         raise ValueError(f"matrix JSON is missing keys: {sorted(missing)}")
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _json_size(obj["rows"], "rows"), _json_size(obj["cols"], "cols")
         if rows < 0 or cols < 0:
             raise ValueError("rows and cols must be nonnegative")
         data = obj["data"]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotLyapunovRegularError, PoleHitError, SingularPencilError
 from .lyapunov import is_lyapunov_regular
-from .matrix_kit import DEFAULT_TOL, Tolerances, as_matrix, kron
+from .matrix_kit import DEFAULT_TOL, Tolerances, _json_size, as_matrix, kron
 
 __all__ = [
     "ProRealization",
@@ -119,7 +119,7 @@ class ProRealization:
         if missing:
             raise ValueError(f"realization JSON is missing keys: {sorted(missing)}")
         try:
-            m = int(obj["m"])
+            m = _json_size(obj["m"], "m")
             ell = np.asarray(obj["ell"], dtype=float).reshape(-1)
             low = np.asarray(obj["M_lower"], dtype=float).reshape(-1)
         except TypeError as exc:  # a list or an object where a number belongs

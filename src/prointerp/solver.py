@@ -20,10 +20,11 @@ closed form (:func:`solve_skew`).
 :func:`solve` runs the regularity and membership gates at the full size n
 and everything from L_{A,B} to the skew solve at size d = m_max, on the
 cyclic core (A_d, B_d): the matrices of X -> A X and X -> B X on
-{A}'' = R[A] in its orthonormal power basis.  f(A) = B holds exactly when
-f(A_d) = B_d, because f(A) depends only on f and its derivatives on the
-spectrum at minimal-polynomial multiplicities, and A_d has A's minimal
-polynomial.  The final f(A) check still runs on the original A and B.
+{A}'' = R[A] in its orthonormal power basis Q.  One Arnoldi pass gives Q,
+A_d = H, and B's coordinates, whose projection decides membership.
+f(A) = B holds exactly when f(A_d) = B_d, because f(A) depends only on f
+and its derivatives on the spectrum at minimal-polynomial multiplicities,
+and A_d has A's minimal polynomial.  The final f(A) check runs on A and B.
 :func:`hill_pick` runs the same stage and lifts the core coefficients to
 n x n, so it reports the same H as :func:`solve`.
 """
@@ -35,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .commutant import bicommutant_basis, membership
+from .commutant import _arnoldi
 from .errors import (
     NotInBicommutantError,
     NotLyapunovRegularError,
@@ -104,29 +105,33 @@ def standard_collection(n: int):
 
 
 def _hill_stage(a, b, tol: Tolerances):
-    """The Hill stage :func:`solve` and :func:`hill_pick` share: regularity
-    and membership in {A}'' at full size, then the cyclic core (A_d, B_d),
-    A_d[j, k] = <Q_j, A Q_k>_F in the power basis Q of {A}'', and the
-    minimal Hill representation of L_{A_d,B_d}.
+    """The Hill stage :func:`solve` and :func:`hill_pick` share: the input
+    checks, regularity at full size, one Arnoldi pass for the power basis Q
+    of {A}'' and A_d = H, membership by the residual of B's projection on Q,
+    then B_d[j, k] = <Q_j, B Q_k>_F and the minimal Hill representation of
+    L_{A_d,B_d}.  B_d is formed directly: the Arnoldi recurrence would divide
+    by the subdiagonal of H, which is tiny on nearly derogatory A.
 
-    Returns (error, basis, core, rep): the first failure's exception or None,
+    Returns (error, q, core, rep): the first failure's exception or None,
     then what was built before it (None from the failing step on).
     """
+    if a.shape != b.shape or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError("interpolation data must be two nonempty square matrices of the same size")
     if not is_lyapunov_regular(a, tol):
         err = NotLyapunovRegularError("base point has an eigenvalue pair summing to zero at tolerance")
         return err, None, None, None
-    bic = bicommutant_basis(a, tol)
-    mem = membership(b, bic, tol)
-    if not mem.is_member:
-        err = NotInBicommutantError(f"target is not in the bicommutant: residual {mem.residual:.6e}")
-        return err, bic, None, None
-    q = np.array(bic.basis)
-    flat = q.reshape(bic.dim, -1)
-    core = tuple(flat @ (x @ q).reshape(bic.dim, -1).T for x in (a, b))
+    q, a_d = _arnoldi(a, tol)
+    flat = q.reshape(len(q), -1)
+    target = b.reshape(-1)
+    residual = float(np.linalg.norm(target - (flat @ target) @ flat))
+    if residual > tol.residual_abs * (1.0 + np.linalg.norm(b)):
+        err = NotInBicommutantError(f"target is not in the bicommutant: residual {residual:.6e}")
+        return err, q, None, None
+    core = (a_d, flat @ (b @ q).reshape(len(q), -1).T)
     try:
-        return None, bic, core, minimal_hill(_quotient_map(*core), tol)
+        return None, q, core, minimal_hill(_quotient_map(*core), tol)
     except (NotStarLinearError, RankMismatchError) as exc:
-        return type(exc)(f"Hill extraction failed: {exc}"), bic, core, None
+        return type(exc)(f"Hill extraction failed: {exc}"), q, core, None
 
 
 def hill_pick(a, b, tol: Tolerances = DEFAULT_TOL):
@@ -143,17 +148,16 @@ def hill_pick(a, b, tol: Tolerances = DEFAULT_TOL):
     C_k = sum_j u_jk Q_j^T.  These m coefficients are a minimal full-size
     representation, but not orthonormal as :func:`minimal_hill`'s are.
 
-    Raises the exception of the first gate of :func:`solve` that fails:
-    NotLyapunovRegularError, NotInBicommutantError, or the NotStarLinearError
-    or RankMismatchError of a failed Hill extraction.
+    Raises :func:`solve`'s ValueError, or the exception of its first failing
+    gate: NotLyapunovRegularError, NotInBicommutantError, or a failed Hill
+    extraction's NotStarLinearError or RankMismatchError.
     """
     a, b = as_matrix(a), as_matrix(b)
-    err, bic, _, rep = _hill_stage(a, b, tol)
+    err, q, _, rep = _hill_stage(a, b, tol)
     if err is not None:
         raise err
-    q = np.array(bic.basis)
     coefficients = tuple(np.sqrt(a.shape[0]) * np.tensordot(c[0], q, axes=1).T for c in rep.coefficients)
-    return rep.hill_matrix, coefficients, rep.m, bic.dim
+    return rep.hill_matrix, coefficients, rep.m, len(q)
 
 
 @dataclass(frozen=True)
@@ -338,14 +342,8 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
     original A and B.
     """
     a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError("solve needs two square matrices of the same size")
-    n = a.shape[0]
-    if n == 0:
-        raise ValueError("empty matrices are not meaningful interpolation data")
-
-    err, bic, core, rep = _hill_stage(a, b, tol)
-    mm = None if bic is None else bic.dim
+    err, q, core, rep = _hill_stage(a, b, tol)
+    mm = None if q is None else len(q)
     if err is not None:
         status = _GATE_STATUS.get(type(err), "numerical_failure")
         return SolveReport(status, None, None, mm, None, None, None, str(err))

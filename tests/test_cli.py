@@ -165,6 +165,11 @@ def test_io_failures_exit_1(tmp_path, capsys):
     scalar.write_text(json.dumps({"rows": 1, "cols": 1, "data": 5}))
     assert main(["solve", str(scalar), ok]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    # a pair of different sizes: hill and solve share the input check
+    three = write_json(tmp_path / "three.json", np.eye(3))
+    for command in ("solve", "hill"):
+        assert main([command, ok, three]) == 1
+        assert capsys.readouterr().err.startswith("error: interpolation data must be")
 
 
 def test_text_matrix_input_round_trip(capsys, tmp_path):

@@ -5,12 +5,13 @@ import pytest
 
 from prointerp.commutant import (
     SubspaceBasis,
+    _arnoldi,
     bicommutant_basis,
     commutant_basis,
     m_max,
     membership,
 )
-from prointerp.matrix_kit import rank_nullspace_pinv
+from prointerp.matrix_kit import DEFAULT_TOL, rank_nullspace_pinv
 
 
 def in_span(x, space):
@@ -131,6 +132,15 @@ def test_membership_zero_dimensional_space():
 def test_subspace_basis_validates_shapes():
     with pytest.raises(ValueError):
         SubspaceBasis(2, (np.zeros((3, 3)),))
+    with pytest.raises(ValueError):  # ragged
+        SubspaceBasis(2, (np.eye(2), np.eye(3)))
+    with pytest.raises(ValueError):  # a vector, not a matrix
+        SubspaceBasis(2, (np.ones(4),))
+    with pytest.raises(ValueError):
+        SubspaceBasis(2, (np.eye(2), np.full((2, 2), np.nan)))
+    assert SubspaceBasis(2, ()).dim == 0
+    space = SubspaceBasis(2, [[[1, 0], [0, 1]]])
+    assert space.basis[0].dtype == float and space.basis[0].shape == (2, 2)
 
 
 def stacked_bicommutant(a):
@@ -211,3 +221,49 @@ def test_bicommutant_basis_memory_stays_small_at_n20():
         tracemalloc.stop()
     assert space.dim == 20
     assert peak < 2**20
+
+
+def reference_power_basis(a, tol=DEFAULT_TOL):
+    """The power-basis loop without H, one Gram-Schmidt pass against a
+    freshly stacked basis per power: the reference :func:`_arnoldi` must
+    match bit for bit."""
+    n = a.shape[0]
+    basis = [np.eye(n) / np.sqrt(n)]
+    for _ in range(n - 1):
+        aq = a @ basis[-1]
+        q = np.array(basis).reshape(len(basis), n * n)
+        w = aq.reshape(n * n)
+        for _ in range(2):
+            w = w - (q @ w) @ q
+        norm = np.linalg.norm(w)
+        if norm <= tol.rank_rel * np.linalg.norm(aq):
+            break
+        basis.append((w / norm).reshape(n, n))
+    return np.array(basis)
+
+
+ARNOLDI_CASES = {
+    "distinct": similar(np.diag([0.6, 1.1, 1.7, 2.4, 3.0]), 10),
+    "clustered": similar(np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]), 11),
+    "J3(1)+J1(1)": direct_sum(jordan(1.0, 3), jordan(1.0, 1)),
+    "J4(1)+J2(2)": similar(direct_sum(jordan(1.0, 4), jordan(2.0, 2)), 13),
+    "complex-pair": similar(direct_sum(ROTATION, ROTATION, np.array([[3.0]])), 14),
+    "scalar": -2.5 * np.eye(5),
+}
+
+
+@pytest.mark.parametrize("a", list(ARNOLDI_CASES.values()), ids=list(ARNOLDI_CASES))
+def test_arnoldi_hessenberg_matrix_is_a_on_the_power_basis(a):
+    q, h = _arnoldi(a, DEFAULT_TOL)
+    d = len(q)
+    assert h.shape == (d, d)
+    assert not np.tril(h, -2).any()
+    for k in range(d):  # the last column too, also when d = n
+        gap = a @ q[k] - np.tensordot(h[:, k], q, axes=1)
+        assert np.linalg.norm(gap) <= 1e-13 * np.linalg.norm(a)
+    # the formula the solver used to build A_d from
+    flat = q.reshape(d, -1)
+    old = flat @ (a @ q).reshape(d, -1).T
+    assert np.linalg.norm(h - old) <= 1e-13 * np.linalg.norm(old)
+    assert np.array_equal(np.array(bicommutant_basis(a).basis), reference_power_basis(a))
+    assert np.array_equal(q, reference_power_basis(a))

@@ -163,6 +163,8 @@ def test_matrix_json_round_trip():
     np.testing.assert_array_equal(matrix_from_json(obj), x)
     # through actual JSON text, exactly
     np.testing.assert_array_equal(loads_matrix(json.dumps(obj)), x)
+    # an integral float is accepted as a size
+    np.testing.assert_array_equal(matrix_from_json({**obj, "rows": 2.0}), x)
 
 
 @pytest.mark.parametrize("broken", [
@@ -172,6 +174,9 @@ def test_matrix_json_round_trip():
     [1, 2, 3],
     {"rows": 1, "cols": 1, "data": 5},
     {"rows": 1, "cols": 1, "data": [5]},
+    {"rows": 1.7, "cols": 1, "data": [[5.0]]},
+    {"rows": "1", "cols": 1, "data": [[5.0]]},
+    {"rows": 1, "cols": True, "data": [[5.0]]},
 ])
 def test_matrix_from_json_rejects_malformed(broken):
     with pytest.raises(ValueError):

@@ -101,6 +101,9 @@ def test_json_round_trip():
     "nope",
     {"m": [1], "ell": [1.0], "M_lower": []},
     {"m": 2, "ell": [1.0, 2.0], "M_lower": {"x": 1}},
+    {"m": 1.7, "ell": [1.0], "M_lower": []},
+    {"m": True, "ell": [1.0], "M_lower": []},
+    {"m": "1", "ell": [1.0], "M_lower": []},
 ])
 def test_from_json_rejects_malformed(broken):
     with pytest.raises(ValueError):

@@ -235,10 +235,15 @@ def test_solve_scalar_sign_cases():
 
 
 def test_solve_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        solve(np.zeros((0, 0)), np.zeros((0, 0)))
-    with pytest.raises(ValueError):
-        solve(np.eye(2), np.eye(3))
+    # solve and hill_pick share the input check and its message
+    empty, wide = np.zeros((0, 0)), np.ones((2, 3))
+    for a, b in [(empty, empty), (np.eye(2), np.eye(3)), (wide, wide)]:
+        messages = set()
+        for call in (solve, hill_pick):
+            with pytest.raises(ValueError) as info:
+                call(a, b)
+            messages.add(str(info.value))
+        assert len(messages) == 1, messages
 
 
 def test_solve_report_json_is_deterministic():
@@ -622,3 +627,106 @@ def test_verdicts_are_similarity_invariant_on_derogatory_a(name):
         if base.hill_pick is not None:
             assert_one_hill_pick(base, a, b, seed=i)
     assert statuses == {"solved", "infeasible", "not_suboptimal", "not_in_bicommutant"}
+
+
+def reference_stage(a, b, tol):
+    """The Hill stage on the reference formulas: membership by least squares
+    against the power basis, and A_d[j, k] = <Q_j, A Q_k>_F."""
+    from prointerp.commutant import SubspaceBasis, bicommutant_basis, membership
+    from prointerp.hill import minimal_hill
+    from prointerp.lyapunov import _quotient_map, is_lyapunov_regular
+
+    if not is_lyapunov_regular(a, tol):
+        return NotLyapunovRegularError("not regular"), None, None, None
+    q = np.array(bicommutant_basis(a, tol).basis)
+    mem = membership(b, SubspaceBasis(a.shape[0], q), tol)
+    if not mem.is_member:
+        return NotInBicommutantError(f"residual {mem.residual:.6e}"), q, None, None
+    flat = q.reshape(len(q), -1)
+    core = tuple(flat @ (x @ q).reshape(len(q), -1).T for x in (a, b))
+    try:
+        return None, q, core, minimal_hill(_quotient_map(*core), tol)
+    except (NotStarLinearError, RankMismatchError) as exc:
+        return exc, q, core, None
+
+
+def stage_pairs():
+    """Pairs in {A}'' (feasible, infeasible, derogatory A) and off it."""
+    a, b = clustered_pair(16, seed=16)
+    jordan_a = jordan_sum((1.0, 3), (1.0, 1))
+    jordan_b = derogatory_targets(jordan_a, seed=3)
+    return [
+        (A_DIAG, B_FEASIBLE), (A_DIAG, np.diag([1.0, 3.0])), (a, b), (a, -b),
+        (jordan_a, jordan_b["f"]), (jordan_a, jordan_b["two_state_f"]),
+        (A_DIAG, np.array([[1.0, 1.0], [0.0, 1.0]])), (jordan_a, jordan_b["off"]),
+        (a, b + 1e-6 * np.eye(16, k=1)),
+    ]
+
+
+def test_hill_stage_reads_a_d_and_membership_off_the_arnoldi_pass():
+    import re
+
+    from prointerp.commutant import bicommutant_basis, membership
+    from prointerp.matrix_kit import DEFAULT_TOL
+    from prointerp.solver import _hill_stage
+
+    verdicts = []
+    for a, b in stage_pairs():
+        err, q, core, _ = _hill_stage(a, b, DEFAULT_TOL)
+        space = bicommutant_basis(a)
+        assert np.array_equal(q, np.array(space.basis))
+        mem = membership(b, space)
+        verdicts.append(mem.is_member)
+        # the projection residual the stage gates on, against least squares
+        flat = q.reshape(len(q), -1)
+        residual = np.linalg.norm(b.reshape(-1) - (flat @ b.reshape(-1)) @ flat)
+        assert abs(residual - mem.residual) <= 1e-12 * (1.0 + np.linalg.norm(b))
+        if not mem.is_member:
+            assert isinstance(err, NotInBicommutantError) and core is None
+            reported = float(re.search(r"residual (\S+)", str(err)).group(1))
+            assert reported == pytest.approx(mem.residual, rel=1e-6)
+            continue
+        assert err is None
+        old = flat @ (a @ q).reshape(len(q), -1).T
+        assert np.linalg.norm(core[0] - old) <= 1e-13 * np.linalg.norm(old)
+    assert verdicts.count(False) == 3
+
+
+def test_solve_makes_no_lstsq_or_membership_call(monkeypatch):
+    import prointerp.commutant as commutant_module
+
+    pairs = stage_pairs()
+    calls = []
+
+    def spy(name, real):
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counting
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy("lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(commutant_module, "membership", spy("membership", commutant_module.membership))
+    statuses = {solve(a, b).status for a, b in pairs}
+    assert statuses == {"solved", "infeasible", "not_suboptimal", "not_in_bicommutant"}
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("delta", [10.0**-k for k in range(2, 9)])
+def test_near_derogatory_verdicts_match_the_reference_stage(monkeypatch, n, delta):
+    # eigenvalues 1, 1 + delta, 2, 3, each n / 4 times, and B = f(A) for a
+    # 4-state f: the Arnoldi subdiagonal of H is tiny at small delta, and
+    # status, m and m_max must stay those of the reference formulas
+    import prointerp.solver as solver_module
+    from prointerp.pro import ProRealization
+
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    t = q @ np.diag(rng.uniform(1.0, 2.0, n))
+    a = t @ np.diag(np.repeat([1.0, 1.0 + delta, 2.0, 3.0], n // 4)) @ np.linalg.inv(t)
+    g = rng.standard_normal((4, 4))
+    b = eval_matrix(ProRealization.from_state_space(rng.standard_normal(4), g - g.T), a)
+    report = solve(a, b)
+    monkeypatch.setattr(solver_module, "_hill_stage", reference_stage)
+    reference = solve(a, b)
+    assert (report.status, report.m, report.m_max) == (reference.status, reference.m, reference.m_max)
