@@ -29,7 +29,6 @@ from .errors import (
 )
 from .hill import (
     C1Result,
-    ChoiMatrix,
     HillRepresentation,
     PositivityTestResult,
     apply_hill,

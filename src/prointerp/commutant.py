@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_kit import DEFAULT_TOL, Tolerances, as_matrix, kron, rank_nullspace_pinv, unvec, vec
+from .matrix_kit import DEFAULT_TOL, Tolerances, _square, as_matrix, kron, rank_nullspace_pinv, unvec, vec
 
 __all__ = [
     "SubspaceBasis",
@@ -61,16 +61,9 @@ def _commutation_operator(k: np.ndarray) -> np.ndarray:
     return kron(eye, k) - kron(k.T, eye)
 
 
-def _square(a, name: str) -> np.ndarray:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError(f"{name} needs a nonempty square matrix")
-    return a
-
-
 def commutant_basis(a, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis (in the vec inner product) of {X : A X = X A}."""
-    a = _square(a, "commutant_basis")
+    a = _square("commutant_basis input", a)
     n = a.shape[0]
     _, null, _ = rank_nullspace_pinv(_commutation_operator(a), tol)
     return SubspaceBasis(n, tuple(unvec(null[:, j], n, n) for j in range(null.shape[1])))
@@ -112,7 +105,7 @@ def bicommutant_basis(a, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of {A}'' = R[A], the Krylov power basis of ``a``
     (see :func:`_arnoldi`): it starts with I / sqrt(n) and its length is the
     degree of the minimal polynomial."""
-    a = _square(a, "bicommutant_basis")
+    a = _square("bicommutant_basis input", a)
     return SubspaceBasis(a.shape[0], _arnoldi(a, tol)[0])
 
 

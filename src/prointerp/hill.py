@@ -33,7 +33,6 @@ from .matrix_kit import (
 )
 
 __all__ = [
-    "ChoiMatrix",
     "HillRepresentation",
     "choi",
     "block_span",
@@ -49,19 +48,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ChoiMatrix:
-    """The n^2 x n^2 Choi matrix of a linear map, block (i,j) = L(E_ij)."""
-
-    n: int
-    matrix: np.ndarray
-
-    def is_symmetric(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return symmetry_defect(self.matrix) <= tol.residual_abs * (
-            1.0 + np.linalg.norm(self.matrix)
-        )
-
-
-@dataclass(frozen=True)
 class HillRepresentation:
     """Coefficients (C_1..C_m, H) of L(V) = sum_kl H_kl C_k V C_l^T."""
 
@@ -71,8 +57,9 @@ class HillRepresentation:
     hill_matrix: np.ndarray
 
 
-def choi(lmap: LinearMatrixMap) -> ChoiMatrix:
-    """Rearrange the matricization of ``lmap`` into its Choi matrix.
+def choi(lmap: LinearMatrixMap) -> np.ndarray:
+    """Rearrange the matricization of ``lmap`` into its n^2 x n^2 Choi
+    matrix, whose block (i, j) is L(E_ij).
 
     Entry (a, b) of block (i, j) is entry (b n + a, j n + i) of the
     matricization, since column j n + i holds vec(L(E_ij)); with the
@@ -80,7 +67,19 @@ def choi(lmap: LinearMatrixMap) -> ChoiMatrix:
     """
     n = lmap.n
     m4 = lmap.matricization.reshape(n, n, n, n)
-    return ChoiMatrix(n, m4.transpose(3, 1, 2, 0).reshape(n * n, n * n))
+    return m4.transpose(3, 1, 2, 0).reshape(n * n, n * n)
+
+
+def _symmetric_choi(lmap: LinearMatrixMap, tol: Tolerances) -> np.ndarray:
+    """The symmetrised Choi matrix; NotStarLinearError if its symmetry defect
+    exceeds ``residual_abs * (1 + ||Choi||_F)``, i.e. the map is not *-linear."""
+    cm = choi(lmap)
+    defect = symmetry_defect(cm)
+    if defect > tol.residual_abs * (1.0 + np.linalg.norm(cm)):
+        raise NotStarLinearError(
+            f"Choi matrix is not symmetric (defect {defect:.3e}); the map is not *-linear"
+        )
+    return 0.5 * (cm + cm.T)
 
 
 def block_span(lmap: LinearMatrixMap, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
@@ -92,7 +91,7 @@ def block_span(lmap: LinearMatrixMap, tol: Tolerances = DEFAULT_TOL) -> Subspace
     inner product, and their number is its SVD rank.
     """
     n = lmap.n
-    u, s, _ = np.linalg.svd(choi(lmap).matrix)
+    u, s, _ = np.linalg.svd(choi(lmap))
     cutoff = tol.rank_rel * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return SubspaceBasis(n, tuple(unvec(u[:, k], n, n) for k in range(rank)))
@@ -142,13 +141,7 @@ def minimal_hill(lmap: LinearMatrixMap, tol: Tolerances = DEFAULT_TOL) -> HillRe
         if the representation does not reproduce the map.
     """
     n = lmap.n
-    cmat = choi(lmap)
-    if not cmat.is_symmetric(tol):
-        raise NotStarLinearError(
-            f"Choi matrix is not symmetric (defect {symmetry_defect(cmat.matrix):.3e}); "
-            "the map is not *-linear"
-        )
-    w, vecs = np.linalg.eigh(0.5 * (cmat.matrix + cmat.matrix.T))
+    w, vecs = np.linalg.eigh(_symmetric_choi(lmap, tol))
     keep = np.flatnonzero(np.abs(w) > tol.rank_rel * np.abs(w).max(initial=0.0))
     coefficients = tuple(unvec(vecs[:, k], n, n) for k in keep)
     rep = HillRepresentation(n, keep.size, coefficients, np.diag(w[keep]))
@@ -168,10 +161,7 @@ def is_completely_positive(lmap: LinearMatrixMap, tol: Tolerances = DEFAULT_TOL)
     """Whether the Choi matrix of the (*-linear) map is PSD at tolerance."""
     if lmap.n < 1:
         raise ValueError("is_completely_positive needs n >= 1")
-    cmat = choi(lmap)
-    if not cmat.is_symmetric(tol):
-        raise NotStarLinearError("Choi matrix is not symmetric; the map is not *-linear")
-    sym = 0.5 * (cmat.matrix + cmat.matrix.T)
+    sym = _symmetric_choi(lmap, tol)
     w = np.linalg.eigvalsh(sym)
     return bool(w[0] >= -tol.psd_rel * psd_scale(sym))
 
@@ -267,7 +257,7 @@ def positivity_sample_test(
     n = lmap.n
     if n < 1:
         raise ValueError("positivity_sample_test needs n >= 1")
-    cm = choi(lmap).matrix
+    cm = choi(lmap)
     norm = np.linalg.norm(cm)
     threshold = -tol.psd_rel * (1.0 + norm)
     lam_min = np.linalg.eigvalsh(0.5 * (cm + cm.T))[0]

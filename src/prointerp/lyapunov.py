@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotLyapunovRegularError
-from .matrix_kit import DEFAULT_TOL, Tolerances, as_matrix, growing_chunks, kron, psd_scale, unvec, vec
+from .matrix_kit import DEFAULT_TOL, Tolerances, _square, as_matrix, growing_chunks, kron, psd_scale, unvec, vec
 
 __all__ = [
     "LinearMatrixMap",
@@ -81,11 +81,7 @@ def is_lyapunov_regular(a, tol: Tolerances = DEFAULT_TOL) -> bool:
     so the zero matrix and any matrix with purely imaginary eigenvalue pairs
     are rejected.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("is_lyapunov_regular needs a square matrix")
-    if a.shape[0] == 0:
-        raise ValueError("empty matrix has no Lyapunov regularity notion")
+    a = _square("is_lyapunov_regular input", a)
     lam = np.linalg.eigvals(a)
     sums = np.abs(lam[:, None] + np.conj(lam[None, :]))
     return bool(sums.min() > tol.regular_rel * np.abs(lam).max())
@@ -96,9 +92,7 @@ def lab_map(a, b, tol: Tolerances = DEFAULT_TOL) -> LinearMatrixMap:
 
     Raises NotLyapunovRegularError when ``a`` fails the regularity test.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError("lab_map needs two square matrices of the same size")
+    a, b = _square("lab_map input", a, b)
     if not is_lyapunov_regular(a, tol):
         raise NotLyapunovRegularError("base point is not Lyapunov regular")
     return _quotient_map(a, b)
@@ -220,9 +214,7 @@ def lyap_order_sample_test(
     ``threads`` has no effect; it is kept only because the benchmark's
     ``perfbench/run.py`` passes ``threads=1``.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError("order test needs two square matrices of the same size")
+    a, b = _square("order test data", a, b)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not is_lyapunov_regular(a, tol):

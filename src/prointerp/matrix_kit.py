@@ -63,13 +63,28 @@ DEFAULT_TOL = Tolerances()
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce input to a 2-D float64 array with finite entries."""
-    m = np.asarray(a, dtype=float)
+    """Coerce input to a 2-D float64 array with finite entries; complex input raises."""
+    m = np.asarray(a)
+    if np.iscomplexobj(m):
+        raise ValueError("matrix entries must be real, got a complex array")
+    m = m.astype(float, copy=False)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def _square(what: str, *mats):
+    """``as_matrix`` of each of ``mats``, checked to be nonempty square
+    matrices of one size; one matrix comes back bare, a pair as a tuple.
+    ``what`` names the input in the error message."""
+    out = tuple(as_matrix(x) for x in mats)
+    n = out[0].shape[0]
+    if n == 0 or any(x.shape != (n, n) for x in out):
+        kind = "a nonempty square matrix" if len(out) == 1 else "two nonempty square matrices of the same size"
+        raise ValueError(f"{what} must be {kind}")
+    return out[0] if len(out) == 1 else out
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -219,6 +234,13 @@ def _json_size(value, name: str) -> int:
     return int(value)
 
 
+def _json_numbers(values, name: str) -> list:
+    """A flat JSON list of numbers: no bool, string, null or nested list entries."""
+    if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise ValueError(f"{name} must be a flat list of numbers")
+    return values
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the documented JSON object back into a matrix."""
     if not isinstance(obj, dict):
@@ -226,16 +248,13 @@ def matrix_from_json(obj) -> np.ndarray:
     missing = {"rows", "cols", "data"} - obj.keys()
     if missing:
         raise ValueError(f"matrix JSON is missing keys: {sorted(missing)}")
-    try:
-        rows, cols = _json_size(obj["rows"], "rows"), _json_size(obj["cols"], "cols")
-        if rows < 0 or cols < 0:
-            raise ValueError("rows and cols must be nonnegative")
-        data = obj["data"]
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("data shape does not match rows/cols")
-        return np.asarray(data, dtype=float).reshape(rows, cols)
-    except TypeError as exc:  # a scalar or an object where a list or number belongs
-        raise ValueError(f"malformed matrix JSON: {exc}") from None
+    rows, cols = _json_size(obj["rows"], "rows"), _json_size(obj["cols"], "cols")
+    if rows < 0 or cols < 0:
+        raise ValueError("rows and cols must be nonnegative")
+    data = obj["data"]
+    if not isinstance(data, list) or len(data) != rows or any(len(_json_numbers(r, "a data row")) != cols for r in data):
+        raise ValueError("data shape does not match rows/cols")
+    return np.array(data, dtype=float).reshape(rows, cols)
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotLyapunovRegularError, PoleHitError, SingularPencilError
 from .lyapunov import is_lyapunov_regular
-from .matrix_kit import DEFAULT_TOL, Tolerances, _json_size, as_matrix, kron
+from .matrix_kit import DEFAULT_TOL, Tolerances, _json_numbers, _json_size, _square, as_matrix, kron
 
 __all__ = [
     "ProRealization",
@@ -56,18 +56,14 @@ class ProRealization:
 
     def __post_init__(self):
         # own copies: a frozen realization must not follow later writes to
-        # the caller's arrays, nor keep the arrays they are views of alive
-        ell = np.array(np.reshape(self.ell, -1), dtype=float)
-        low = np.array(np.reshape(self.m_lower, -1), dtype=float)
+        # the caller's arrays, nor keep the arrays they are views of alive;
+        # as_matrix rejects complex and non-finite entries
+        ell, low = (as_matrix(np.reshape(x, (1, -1)))[0].copy() for x in (self.ell, self.m_lower))
         m = ell.size
         if low.size != m * (m - 1) // 2:
             raise ValueError(
                 f"M_lower has {low.size} entries, expected {m * (m - 1) // 2} for state dimension {m}"
             )
-        if (ell.size and not np.all(np.isfinite(ell))) or (
-            low.size and not np.all(np.isfinite(low))
-        ):
-            raise ValueError("realization entries must be finite")
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "m_lower", low)
 
@@ -118,32 +114,25 @@ class ProRealization:
         missing = {"m", "ell", "M_lower"} - obj.keys()
         if missing:
             raise ValueError(f"realization JSON is missing keys: {sorted(missing)}")
-        try:
-            m = _json_size(obj["m"], "m")
-            ell = np.asarray(obj["ell"], dtype=float).reshape(-1)
-            low = np.asarray(obj["M_lower"], dtype=float).reshape(-1)
-        except TypeError as exc:  # a list or an object where a number belongs
-            raise ValueError(f"malformed realization JSON: {exc}") from None
-        if ell.size != m:
-            raise ValueError(f"ell has {ell.size} entries, expected m = {m}")
-        return cls(ell, low)
+        m = _json_size(obj["m"], "m")
+        ell = _json_numbers(obj["ell"], "ell")
+        if len(ell) != m:
+            raise ValueError(f"ell has {len(ell)} entries, expected m = {m}")
+        return cls(ell, _json_numbers(obj["M_lower"], "M_lower"))
 
 
 def eval_scalar(f: ProRealization, z, tol: Tolerances = DEFAULT_TOL) -> complex:
-    """Evaluate f at a scalar point by solving (z I - M) x = ell^T.
+    """Evaluate f at a scalar point: :func:`_eval_pencil` at the 1 x 1 point z.
 
     Raises PoleHitError when z is within residual_abs * (1 + |z|) of an
     eigenvalue of M.
     """
     z = complex(z)
-    if f.m == 0:
-        return 0.0 + 0.0j
     gaps = np.abs(z - f.poles())
-    if gaps.min() <= tol.residual_abs * (1.0 + abs(z)):
+    if gaps.min(initial=np.inf) <= tol.residual_abs * (1.0 + abs(z)):
         raise PoleHitError(f"evaluation point {z} is within {gaps.min():.3e} of a pole")
-    mm = f.state_matrix
-    x = np.linalg.solve(z * np.eye(f.m) - mm, f.ell.astype(complex))
-    return complex(f.ell @ x)
+    point = np.array([[z if z.imag else z.real]])  # a real z keeps the pencil real
+    return complex(_eval_pencil(f.ell, f.state_matrix, point)[0, 0])
 
 
 def eval_matrix(f: ProRealization, a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -153,27 +142,25 @@ def eval_matrix(f: ProRealization, a, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     the pencil is invertible because the spectrum of A avoids the imaginary
     axis (Lyapunov regularity) while the spectrum of M lies on it.
     """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1] or n == 0:
-        raise ValueError("matrix point must be square and nonempty")
+    a = _square("matrix point", a)
     if not is_lyapunov_regular(a, tol):
         raise NotLyapunovRegularError("matrix point is not Lyapunov regular")
-    return _eval_pencil(f, a)
+    return _eval_pencil(f.ell, f.state_matrix, a)
 
 
-def _eval_pencil(f: ProRealization, a: np.ndarray) -> np.ndarray:
-    """f(A) through the Kronecker pencil, for a nonempty square array ``a``
-    the caller has already found Lyapunov regular.  The zero function
-    (m = 0) gives an empty pencil and exact zeros."""
+def _eval_pencil(ell: np.ndarray, mm: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The one resolvent of the package: f(A) for f = ell (z I - M)^{-1} ell^T
+    through the Kronecker pencil, for a row ``ell``, a square ``mm`` and a
+    nonempty square, possibly complex, ``a`` at which the pencil is
+    invertible (the caller checks).  At a 1 x 1 point [[z]] the pencil is
+    z I - M.  The zero function (m = 0) gives an empty pencil and exact zeros."""
     eye = np.eye(a.shape[0])
-    pencil = kron(np.eye(f.m), a) - kron(f.state_matrix, eye)
-    rhs = kron(f.ell.reshape(-1, 1), eye)
+    pencil = kron(np.eye(ell.size), a) - kron(mm, eye)
     try:
-        x = np.linalg.solve(pencil, rhs)
+        x = np.linalg.solve(pencil, kron(ell.reshape(-1, 1), eye))
     except np.linalg.LinAlgError as exc:
         raise SingularPencilError(f"evaluation pencil is singular: {exc}") from None
-    return kron(f.ell.reshape(1, -1), eye) @ x
+    return kron(ell.reshape(1, -1), eye) @ x
 
 
 @dataclass(frozen=True)
@@ -206,7 +193,7 @@ def realization_checks(
     For a genuinely skew M all three checks are theorems, so any failure
     here signals corrupted data rather than an unlucky sample.
     """
-    ell = np.asarray(ell, dtype=float).reshape(-1)
+    ell = as_matrix(np.reshape(ell, (1, -1)))[0]
     mm = as_matrix(m_matrix) if np.size(m_matrix) else np.zeros((0, 0))
     m = ell.size
     if mm.shape != (m, m):
@@ -220,8 +207,8 @@ def realization_checks(
     max_re = float(np.abs(lam.real).max())
     poles_ok = max_re <= tol.residual_abs * (1.0 + np.abs(lam).max())
 
-    def value(z):
-        return complex(ell @ np.linalg.solve(z * np.eye(m) - mm.astype(complex), ell))
+    def value(t):
+        return complex(_eval_pencil(ell, mm, np.array([[t]]))[0, 0])
 
     rng = np.random.default_rng(seed)
     worst_odd = 0.0
@@ -231,12 +218,12 @@ def realization_checks(
     drawn = 0
     while drawn < samples:
         t = rng.uniform(0.0, 100.0)
-        if t <= 1e-6 or np.abs(t - lam).min() <= tol.residual_abs * (1.0 + t):
+        if np.abs(t - lam).min() <= tol.residual_abs * (1.0 + t):
             continue
         drawn += 1
-        ft = value(complex(t))
+        ft = value(t)
         gauge = 1.0 + abs(ft)
-        odd_defect = abs(value(complex(-t)) + ft) / gauge
+        odd_defect = abs(value(-t) + ft) / gauge
         worst_odd = max(worst_odd, odd_defect)
         if odd_defect > 1e-10:
             odd_ok = False

@@ -51,6 +51,7 @@ from .lyapunov import _quotient_map, is_lyapunov_regular
 from .matrix_kit import (
     DEFAULT_TOL,
     Tolerances,
+    _square,
     as_matrix,
     kron,
     matrix_to_json,
@@ -105,18 +106,17 @@ def standard_collection(n: int):
 
 
 def _hill_stage(a, b, tol: Tolerances):
-    """The Hill stage :func:`solve` and :func:`hill_pick` share: the input
-    checks, regularity at full size, one Arnoldi pass for the power basis Q
-    of {A}'' and A_d = H, membership by the residual of B's projection on Q,
-    then B_d[j, k] = <Q_j, B Q_k>_F and the minimal Hill representation of
-    L_{A_d,B_d}.  B_d is formed directly: the Arnoldi recurrence would divide
-    by the subdiagonal of H, which is tiny on nearly derogatory A.
+    """The Hill stage :func:`solve` and :func:`hill_pick` share, on a pair
+    that passed their input check: regularity at full size, one Arnoldi pass
+    for the power basis Q of {A}'' and A_d = H, membership by the residual of
+    B's projection on Q, then B_d[j, k] = <Q_j, B Q_k>_F and the minimal Hill
+    representation of L_{A_d,B_d}.  B_d is formed directly: the Arnoldi
+    recurrence would divide by the subdiagonal of H, which is tiny on nearly
+    derogatory A.
 
     Returns (error, q, core, rep): the first failure's exception or None,
     then what was built before it (None from the failing step on).
     """
-    if a.shape != b.shape or a.shape[0] != a.shape[1] or a.size == 0:
-        raise ValueError("interpolation data must be two nonempty square matrices of the same size")
     if not is_lyapunov_regular(a, tol):
         err = NotLyapunovRegularError("base point has an eigenvalue pair summing to zero at tolerance")
         return err, None, None, None
@@ -152,7 +152,7 @@ def hill_pick(a, b, tol: Tolerances = DEFAULT_TOL):
     gate: NotLyapunovRegularError, NotInBicommutantError, or a failed Hill
     extraction's NotStarLinearError or RankMismatchError.
     """
-    a, b = as_matrix(a), as_matrix(b)
+    a, b = _square("interpolation data", a, b)
     err, q, _, rep = _hill_stage(a, b, tol)
     if err is not None:
         raise err
@@ -238,9 +238,7 @@ def solve_skew(pencils: PencilPair, tol: Tolerances = DEFAULT_TOL):
 
 def extract_realization(s) -> ProRealization:
     """Split S = [[0, ell], [-ell^T, -M]] into the realization (ell, M)."""
-    s = as_matrix(s)
-    if s.shape[0] != s.shape[1] or s.shape[0] < 1:
-        raise ValueError("expected a nonempty square skew matrix")
+    s = _square("skew matrix S", s)
     defect = np.linalg.norm(s + s.T)
     if defect > SKEW_REL * (1.0 + np.linalg.norm(s)):
         raise ValueError(f"matrix is not skew-symmetric: ||S + S^T||_F = {defect:.3e}")
@@ -341,7 +339,7 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
     the cyclic core (A_d, B_d); the f(A) check runs at full size on the
     original A and B.
     """
-    a, b = as_matrix(a), as_matrix(b)
+    a, b = _square("interpolation data", a, b)
     err, q, core, rep = _hill_stage(a, b, tol)
     mm = None if q is None else len(q)
     if err is not None:
@@ -380,7 +378,7 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
         pencils = build_pencils(*core, h, rep.coefficients, [np.eye(mm)], tol)
         s, skew_residual = solve_skew(pencils, tol)
         f = extract_realization(s)
-        fa = _eval_pencil(f, a)  # the original A, which passed the regularity gate
+        fa = _eval_pencil(f.ell, f.state_matrix, a)  # the original A, which passed the regularity gate
     except (NotPositiveDefiniteError, ResidualTooLargeError, SingularPencilError, np.linalg.LinAlgError) as exc:
         return SolveReport(
             "numerical_failure", h, m, mm, None, None, None,

@@ -287,7 +287,7 @@ def test_criterion_6_choi_hill_consistency_corpus():
     rng = np.random.default_rng(23)
     problems = []
     for name, lmap in corpus:
-        ch = choi(lmap).matrix
+        ch = choi(lmap)
         sv = np.linalg.svd(ch, compute_uv=False)
         choi_rank = int((sv > 1e-9 * sv[0]).sum())
         rep = minimal_hill(lmap)

@@ -170,6 +170,19 @@ def test_io_failures_exit_1(tmp_path, capsys):
     for command in ("solve", "hill"):
         assert main([command, ok, three]) == 1
         assert capsys.readouterr().err.startswith("error: interpolation data must be")
+    # matrix entries must be JSON numbers: a bool, a string or a nested list
+    # is rejected, not read as 1.0
+    two = write_json(tmp_path / "two.json", [[2.0]])
+    for entry in (True, "1", [1]):
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps({"rows": 1, "cols": 1, "data": [[entry]]}))
+        assert main(["solve", str(odd), two]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+    # and so must the entries of a realization
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps({"m": 2, "ell": ["1", True], "M_lower": [0.0]}))
+    assert main(["eval", str(fpath), ok]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_text_matrix_input_round_trip(capsys, tmp_path):

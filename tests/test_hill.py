@@ -50,26 +50,26 @@ def random_star_linear(n, m, seed):
 
 
 def choi_rank(lmap):
-    s = np.linalg.svd(choi(lmap).matrix, compute_uv=False)
+    s = np.linalg.svd(choi(lmap), compute_uv=False)
     return int(np.sum(s > 1e-9 * s[0])) if s.size and s[0] > 0 else 0
 
 
 def test_choi_of_identity_map():
     cm = choi(identity_map(2))
     expected = np.outer(vec(np.eye(2)), vec(np.eye(2)))
-    np.testing.assert_allclose(cm.matrix, expected, atol=1e-14)
+    np.testing.assert_allclose(cm, expected, atol=1e-14)
     assert choi_rank(identity_map(2)) == 1
 
 
 def test_choi_of_trace_map_is_identity():
-    np.testing.assert_allclose(choi(trace_map(2)).matrix, np.eye(4), atol=1e-14)
+    np.testing.assert_allclose(choi(trace_map(2)), np.eye(4), atol=1e-14)
 
 
 def test_choi_blocks_are_images_of_matrix_units():
     a = np.diag([1.0, 2.0])
     b = np.diag([2.0, 3.0])
     lab = lab_map(a, b)
-    cm = choi(lab).matrix
+    cm = choi(lab)
     for i in range(2):
         for j in range(2):
             e = np.zeros((2, 2))
@@ -342,7 +342,7 @@ def choi_block_loop(lmap):
 def test_choi_matches_block_loop(n):
     rng = np.random.default_rng(n)
     lmap = LinearMatrixMap(n, rng.standard_normal((n * n, n * n)))
-    np.testing.assert_array_equal(choi(lmap).matrix, choi_block_loop(lmap))
+    np.testing.assert_array_equal(choi(lmap), choi_block_loop(lmap))
 
 
 def reference_positivity_test(lmap, trials, seed):
@@ -417,7 +417,7 @@ def test_positivity_matches_per_probe_loop(lmap, trials, seed, count):
     if z is not None:
         np.testing.assert_array_equal(result.z, z)
         np.testing.assert_array_equal(result.x, x)
-        norm = np.linalg.norm(choi(lmap).matrix)
+        norm = np.linalg.norm(choi(lmap))
         assert abs(result.value - value) <= 1e-12 * (1.0 + norm)
         assert result.z.base is None and result.x.base is None
 
@@ -468,7 +468,7 @@ def reference_hill(lmap, tol=DEFAULT_TOL):
     rank = int(np.sum(s > tol.rank_rel * s[0]))
     basis = u[:, :rank]
     pinv = np.linalg.pinv(basis)
-    hill_t = pinv @ choi(lmap).matrix @ pinv.T
+    hill_t = pinv @ choi(lmap) @ pinv.T
     return basis, 0.5 * (hill_t + hill_t.T)
 
 
@@ -515,7 +515,7 @@ def test_minimal_hill_makes_one_eigendecomposition(monkeypatch):
 
 
 def positivity_threshold(lmap):
-    return -DEFAULT_TOL.psd_rel * (1.0 + np.linalg.norm(choi(lmap).matrix))
+    return -DEFAULT_TOL.psd_rel * (1.0 + np.linalg.norm(choi(lmap)))
 
 
 def test_clear_run_on_cp_map_builds_no_probe(monkeypatch):
@@ -556,7 +556,7 @@ def test_probe_search_clear_on_cp_maps(factory, trials):
     assert is_completely_positive(lmap)
     ref = reference_positivity_test(lmap, trials, seed=5)
     assert ref == (trials, None, None, None)
-    result = _probe_search(choi(lmap).matrix, lmap.n, trials, 5, positivity_threshold(lmap))
+    result = _probe_search(choi(lmap), lmap.n, trials, 5, positivity_threshold(lmap))
     assert result == PositivityTestResult(False, None, None, None, trials)
 
 
@@ -578,7 +578,7 @@ def test_certificate_boundary_matches_per_probe_loop(monkeypatch, ratio, probed)
     import prointerp.hill as hill_module
 
     lmap = sign_pattern_dent(ratio)
-    lam_min = np.linalg.eigvalsh(choi(lmap).matrix)[0]
+    lam_min = np.linalg.eigvalsh(choi(lmap))[0]
     assert lmap.n**2 * lam_min / abs(positivity_threshold(lmap)) == pytest.approx(-ratio, rel=1e-4)
     calls = []
     real = hill_module._probes
@@ -596,7 +596,7 @@ def test_certificate_boundary_matches_per_probe_loop(monkeypatch, ratio, probed)
     if probed:
         np.testing.assert_array_equal(result.z, z)
         np.testing.assert_array_equal(result.x, x)
-        assert abs(result.value - value) <= 1e-12 * (1.0 + np.linalg.norm(choi(lmap).matrix))
+        assert abs(result.value - value) <= 1e-12 * (1.0 + np.linalg.norm(choi(lmap)))
 
 
 @pytest.mark.parametrize("check", [positivity_sample_test, is_completely_positive])

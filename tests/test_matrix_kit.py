@@ -177,6 +177,10 @@ def test_matrix_json_round_trip():
     {"rows": 1.7, "cols": 1, "data": [[5.0]]},
     {"rows": "1", "cols": 1, "data": [[5.0]]},
     {"rows": 1, "cols": True, "data": [[5.0]]},
+    {"rows": 1, "cols": 1, "data": [[True]]},
+    {"rows": 1, "cols": 1, "data": [["1"]]},
+    {"rows": 1, "cols": 1, "data": [[[1]]]},
+    {"rows": 1, "cols": 1, "data": [[None]]},
 ])
 def test_matrix_from_json_rejects_malformed(broken):
     with pytest.raises(ValueError):

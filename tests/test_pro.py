@@ -65,6 +65,11 @@ def test_one_skew_gate_for_realizations_and_skew_matrices():
 def test_lower_triangle_length_validation():
     with pytest.raises(ValueError):
         ProRealization([1.0, 2.0], [0.5, 0.5])  # needs exactly 1 entry for m = 2
+    # complex entries are rejected, not cut to their real parts
+    with pytest.raises(ValueError):
+        ProRealization(np.array([1.0 + 1.0j, 2.0]), [0.5])
+    with pytest.raises(ValueError):
+        ProRealization([1.0, 2.0], np.array([0.5 + 0j]))
 
 
 def test_realization_owns_its_arrays():
@@ -104,6 +109,9 @@ def test_json_round_trip():
     {"m": 1.7, "ell": [1.0], "M_lower": []},
     {"m": True, "ell": [1.0], "M_lower": []},
     {"m": "1", "ell": [1.0], "M_lower": []},
+    {"m": 2, "ell": ["1", True], "M_lower": [0.0]},
+    {"m": 1, "ell": [[1.0]], "M_lower": []},
+    {"m": 2, "ell": [1.0, 2.0], "M_lower": [[0.5]]},
 ])
 def test_from_json_rejects_malformed(broken):
     with pytest.raises(ValueError):
@@ -161,6 +169,23 @@ def test_eval_scalar_zero_function():
     f = ProRealization(np.zeros(0), np.zeros(0))
     assert f.m == 0
     assert eval_scalar(f, 1.23) == 0
+
+
+def test_eval_scalar_and_eval_matrix_share_one_resolvent():
+    # eval_scalar is ell (z I - M)^{-1} ell^T, and at a 1 x 1 point eval_matrix
+    # is the same resolvent, to the last bit
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((5, 5))
+    for f in (
+        rational_18z(),
+        ProRealization.from_state_space([np.sqrt(6.0)], np.zeros((1, 1))),
+        ProRealization.from_state_space(rng.standard_normal(5), g - g.T),
+    ):
+        for z in (0.5, 2.0, -3.0, 1.0 + 1.0j, -0.25 + 4.0j):
+            expected = f.ell @ np.linalg.solve(z * np.eye(f.m) - f.state_matrix, f.ell.astype(complex))
+            assert abs(eval_scalar(f, z) - expected) <= 1e-14 * abs(expected)
+        for t in (0.5, 2.0, -3.0):
+            assert eval_matrix(f, [[t]])[0, 0] == eval_scalar(f, t)
 
 
 def test_eval_matrix_diagonal_point():

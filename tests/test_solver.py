@@ -236,8 +236,8 @@ def test_solve_scalar_sign_cases():
 
 def test_solve_rejects_degenerate_input():
     # solve and hill_pick share the input check and its message
-    empty, wide = np.zeros((0, 0)), np.ones((2, 3))
-    for a, b in [(empty, empty), (np.eye(2), np.eye(3)), (wide, wide)]:
+    empty, wide, cplx = np.zeros((0, 0)), np.ones((2, 3)), np.diag([1.0 + 1.0j, 2.0])
+    for a, b in [(empty, empty), (np.eye(2), np.eye(3)), (wide, wide), (cplx, np.eye(2)), (np.eye(2), cplx)]:
         messages = set()
         for call in (solve, hill_pick):
             with pytest.raises(ValueError) as info:
