@@ -25,6 +25,7 @@ from .lyapunov import LinearMatrixMap
 from .matrix_kit import (
     DEFAULT_TOL,
     Tolerances,
+    _above_rank_cut,
     as_matrix,
     growing_chunks,
     psd_scale,
@@ -92,8 +93,7 @@ def block_span(lmap: LinearMatrixMap, tol: Tolerances = DEFAULT_TOL) -> Subspace
     """
     n = lmap.n
     u, s, _ = np.linalg.svd(choi(lmap))
-    cutoff = tol.rank_rel * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    rank = int(_above_rank_cut(s, tol).sum())
     return SubspaceBasis(n, tuple(unvec(u[:, k], n, n) for k in range(rank)))
 
 
@@ -142,19 +142,21 @@ def minimal_hill(lmap: LinearMatrixMap, tol: Tolerances = DEFAULT_TOL) -> HillRe
     """
     n = lmap.n
     w, vecs = np.linalg.eigh(_symmetric_choi(lmap, tol))
-    keep = np.flatnonzero(np.abs(w) > tol.rank_rel * np.abs(w).max(initial=0.0))
+    keep = np.flatnonzero(_above_rank_cut(w, tol))
     coefficients = tuple(unvec(vecs[:, k], n, n) for k in keep)
     rep = HillRepresentation(n, keep.size, coefficients, np.diag(w[keep]))
+    _check_hill(rep, lambda v: (v, lmap.apply(v)), tol)
+    return rep
+
+
+def _check_hill(rep: HillRepresentation, probe, tol: Tolerances) -> None:
+    """RankMismatchError unless ``rep`` reproduces its map L on 20 seeded
+    inputs, at ``residual_abs``; ``probe`` maps a random X to (V, L(V))."""
     rng = np.random.default_rng(7)
     for _ in range(20):
-        v = rng.standard_normal((n, n))
-        lhs = lmap.apply(v)
-        rhs = apply_hill(rep, v)
-        if np.linalg.norm(lhs - rhs) > tol.residual_abs * (1.0 + np.linalg.norm(lhs)):
-            raise RankMismatchError(
-                "Hill representation does not reproduce the map on random inputs"
-            )
-    return rep
+        v, lhs = probe(rng.standard_normal((rep.n, rep.n)))
+        if np.linalg.norm(lhs - apply_hill(rep, v)) > tol.residual_abs * (1.0 + np.linalg.norm(lhs)):
+            raise RankMismatchError("Hill representation does not reproduce the map on random inputs")
 
 
 def is_completely_positive(lmap: LinearMatrixMap, tol: Tolerances = DEFAULT_TOL) -> bool:

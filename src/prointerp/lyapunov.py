@@ -95,17 +95,10 @@ def lab_map(a, b, tol: Tolerances = DEFAULT_TOL) -> LinearMatrixMap:
     a, b = _square("lab_map input", a, b)
     if not is_lyapunov_regular(a, tol):
         raise NotLyapunovRegularError("base point is not Lyapunov regular")
-    return _quotient_map(a, b)
-
-
-def _quotient_map(a: np.ndarray, b: np.ndarray) -> LinearMatrixMap:
-    """L_B o L_A^{-1} for square arrays of one size whose ``a`` the caller has
-    already found Lyapunov regular."""
     la = lyap_map(a).matricization
     lb = lyap_map(b).matricization
     # L_B L_A^{-1} without forming the inverse: solve L_A^T Z = L_B^T.
-    mat = np.linalg.solve(la.T, lb.T).T
-    return LinearMatrixMap(a.shape[0], mat)
+    return LinearMatrixMap(a.shape[0], np.linalg.solve(la.T, lb.T).T)
 
 
 def _symmetric_lyap_matrix(a: np.ndarray) -> np.ndarray:

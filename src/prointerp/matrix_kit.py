@@ -113,6 +113,11 @@ def eigenvalues(x: np.ndarray) -> np.ndarray:
     return np.sort_complex(np.linalg.eigvals(x)) if x.size else np.zeros(0, complex)
 
 
+def _above_rank_cut(values, tol: Tolerances) -> np.ndarray:
+    """The rank cut: which ``values`` exceed ``rank_rel`` times the largest in magnitude."""
+    return np.abs(values) > tol.rank_rel * np.abs(values).max(initial=0.0)
+
+
 def rank_nullspace_pinv(x, tol: Tolerances = DEFAULT_TOL):
     """SVD-based rank, orthonormal nullspace, and pseudoinverse of ``x``.
 
@@ -133,8 +138,7 @@ def rank_nullspace_pinv(x, tol: Tolerances = DEFAULT_TOL):
     # The nullspace needs all of V^T, which a thin SVD already gives for
     # tall input; only wide input needs the full (square) factors.
     u, s, vt = np.linalg.svd(x, full_matrices=rows < cols)
-    cutoff = tol.rank_rel * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    rank = int(_above_rank_cut(s, tol).sum())
     nullspace = vt[rank:].T
     if rank:
         pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
@@ -235,10 +239,13 @@ def _json_size(value, name: str) -> int:
 
 
 def _json_numbers(values, name: str) -> list:
-    """A flat JSON list of numbers: no bool, string, null or nested list entries."""
+    """A flat JSON list of numbers, as floats: no bool, string, null or nested list entries."""
     if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
         raise ValueError(f"{name} must be a flat list of numbers")
-    return values
+    try:
+        return [float(v) for v in values]
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} holds an integer too large for a float") from None
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -251,8 +258,8 @@ def matrix_from_json(obj) -> np.ndarray:
     rows, cols = _json_size(obj["rows"], "rows"), _json_size(obj["cols"], "cols")
     if rows < 0 or cols < 0:
         raise ValueError("rows and cols must be nonnegative")
-    data = obj["data"]
-    if not isinstance(data, list) or len(data) != rows or any(len(_json_numbers(r, "a data row")) != cols for r in data):
+    data = [_json_numbers(r, "a data row") for r in obj["data"]] if isinstance(obj["data"], list) else None
+    if data is None or len(data) != rows or any(len(r) != cols for r in data):
         raise ValueError("data shape does not match rows/cols")
     return np.array(data, dtype=float).reshape(rows, cols)
 

@@ -1,14 +1,13 @@
 """End-to-end construction of interpolating positive real odd functions.
 
-Given a Lyapunov regular A and a B in its bicommutant, the pipeline is:
-form the quotient Lyapunov map L_{A,B}, take a minimal Hill representation
-(C_1..C_m, H), gate on m = m_max (the bicommutant dimension) and on H being
-positive definite, factor H = P^T P, assemble for a probe matrix R the
-pencil pair
+Given a Lyapunov regular A and a B in its bicommutant, the pipeline takes a
+minimal Hill representation (C_1..C_m, H) of L_{A,B} = L_B o L_A^{-1},
+gates on m = m_max (the bicommutant dimension) and on H being positive
+definite, factors H = P^T P, assembles for a probe matrix R the pencil pair
 
     L_R = [ R ; (P kron R) C ],    M_R = [ R B ; -(P kron R A) C ],
 
-with C the stacked coefficient matrix, and solve (S kron I_n) L_R = M_R for
+with C the stacked coefficient matrix, and solves (S kron I_n) L_R = M_R for
 a skew-symmetric S.  Since L_R = (I_{m+1} kron R) L_I and likewise for M_R,
 every probe poses the equations of R = I again, left-multiplied by R, so
 :func:`solve` uses the single probe R = I.  Reading ell and M off the first
@@ -17,16 +16,31 @@ f(A) = B.  The skew least squares splits, in the right singular basis of
 the pencil, into one 2 x 1 problem per entry pair of S, each solved in
 closed form (:func:`solve_skew`).
 
+The Hill representation comes from a d x d Lyapunov equation, d = m_max.
+One Arnoldi pass gives the orthonormal power basis Q_j = q_j(A) of
+{A}'' = R[A] (Q_0 = I / sqrt(n)), A_d = H, the matrix of X -> A X on it, and
+the coordinates c of B = g(A), g = sum_j c_j q_j, whose projection decides
+membership.  p(s, t) = sum_jk p_jk q_j(s) q_k(t) acts on matrices as
+X -> sum_jk p_jk Q_j^T X Q_k: s + t as L_A, g(s) + g(t) as L_B, products as
+compositions and the minimal polynomial mu of A as zero.  Hence if
+
+    g(s) + g(t) = Gamma(s, t) (s + t)   mod (mu(s), mu(t)),
+
+Gamma(s, t) = n sum_jk Gamma_jk q_j(s) q_k(t), then L_{A,B}(V) =
+sum_jk n Gamma_jk Q_j^T V Q_k.  As s and t act on coefficients as A_d, and
+1 = sqrt(n) q_0, Gamma A_d^T + A_d Gamma = e_0 beta^T + beta e_0^T with
+beta = c / sqrt(n).  The Q_j^T are orthonormal, so n Gamma = V diag(w) V^T
+has the nonzero Choi spectrum of L_{A,B}, and C_k = sum_j v_jk Q_j^T,
+H = diag(w) is a minimal Hill representation.  At distinct eigenvalues,
+Gamma(lambda_i, lambda_j) = (g(lambda_i) + g(lambda_j)) / (lambda_i + lambda_j)
+is the classical Pick matrix.
+
 :func:`solve` runs the regularity and membership gates at the full size n
-and everything from L_{A,B} to the skew solve at size d = m_max, on the
-cyclic core (A_d, B_d): the matrices of X -> A X and X -> B X on
-{A}'' = R[A] in its orthonormal power basis Q.  One Arnoldi pass gives Q,
-A_d = H, and B's coordinates, whose projection decides membership.
+and the rest on the cyclic core (A_d, B_d), the matrices of X -> A X and
+X -> B X on the power basis, with C_k = sum_j v_jk P_j^T, P_j = q_j(A_d).
 f(A) = B holds exactly when f(A_d) = B_d, because f(A) depends only on f
 and its derivatives on the spectrum at minimal-polynomial multiplicities,
 and A_d has A's minimal polynomial.  The final f(A) check runs on A and B.
-:func:`hill_pick` runs the same stage and lifts the core coefficients to
-n x n, so it reports the same H as :func:`solve`.
 """
 
 from __future__ import annotations
@@ -41,16 +55,16 @@ from .errors import (
     NotInBicommutantError,
     NotLyapunovRegularError,
     NotPositiveDefiniteError,
-    NotStarLinearError,
     RankMismatchError,
     ResidualTooLargeError,
     SingularPencilError,
 )
-from .hill import coefficient_stack, minimal_hill
-from .lyapunov import _quotient_map, is_lyapunov_regular
+from .hill import HillRepresentation, _check_hill, coefficient_stack
+from .lyapunov import _solve_symmetric, _symmetric_lyap_matrix, is_lyapunov_regular
 from .matrix_kit import (
     DEFAULT_TOL,
     Tolerances,
+    _above_rank_cut,
     _square,
     as_matrix,
     kron,
@@ -106,58 +120,61 @@ def standard_collection(n: int):
 
 
 def _hill_stage(a, b, tol: Tolerances):
-    """The Hill stage :func:`solve` and :func:`hill_pick` share, on a pair
-    that passed their input check: regularity at full size, one Arnoldi pass
-    for the power basis Q of {A}'' and A_d = H, membership by the residual of
-    B's projection on Q, then B_d[j, k] = <Q_j, B Q_k>_F and the minimal Hill
-    representation of L_{A_d,B_d}.  B_d is formed directly: the Arnoldi
-    recurrence would divide by the subdiagonal of H, which is tiny on nearly
-    derogatory A.
+    """The Hill stage :func:`solve` and :func:`hill_pick` share, on checked
+    input: regularity at full size, one Arnoldi pass (Q, A_d = H), membership
+    by the residual of B's projection on Q, B_d[j, k] = <Q_j, B Q_k>_F formed
+    directly, and n Gamma (module docstring) under the rank cut.  The P_j come
+    from the Arnoldi recurrence, whose divisors are tiny on nearly derogatory
+    A, so the core representation is checked on seeded X as
+    L_{A_d,B_d}(X A_d + A_d^T X) = X B_d + B_d^T X.
 
-    Returns (error, q, core, rep): the first failure's exception or None,
-    then what was built before it (None from the failing step on).
+    Returns (error, q, core, rep, v): the first failure's exception or None,
+    then what was built before it (None from the failing step on), with rep
+    the core representation and v the kept eigenvectors of n Gamma.
     """
     if not is_lyapunov_regular(a, tol):
         err = NotLyapunovRegularError("base point has an eigenvalue pair summing to zero at tolerance")
-        return err, None, None, None
+        return err, None, None, None, None
     q, a_d = _arnoldi(a, tol)
-    flat = q.reshape(len(q), -1)
-    target = b.reshape(-1)
-    residual = float(np.linalg.norm(target - (flat @ target) @ flat))
+    d, n = a_d.shape[0], a.shape[0]
+    flat = q.reshape(d, -1)
+    c = flat @ b.reshape(-1)
+    residual = float(np.linalg.norm(b.reshape(-1) - c @ flat))
     if residual > tol.residual_abs * (1.0 + np.linalg.norm(b)):
         err = NotInBicommutantError(f"target is not in the bicommutant: residual {residual:.6e}")
-        return err, q, None, None
-    core = (a_d, flat @ (b @ q).reshape(len(q), -1).T)
+        return err, q, None, None, None
+    b_d = flat @ (b @ q).reshape(d, -1).T
+    e0_beta = np.outer(np.eye(d)[0], c / np.sqrt(n))
+    gamma = _solve_symmetric(_symmetric_lyap_matrix(a_d.T), (e0_beta + e0_beta.T)[None])[0]
+    w, v = np.linalg.eigh(n * gamma)
+    keep = _above_rank_cut(w, tol)
+    v = v[:, keep]
+    p = [np.eye(d) / np.sqrt(n)]
+    for k in range(d - 1):  # A_d P_k = sum_{j <= k+1} H_jk P_j, solved for P_{k+1}
+        p.append((a_d @ p[k] - np.tensordot(a_d[: k + 1, k], p, axes=1)) / a_d[k + 1, k])
+    rep = HillRepresentation(d, v.shape[1], tuple(np.tensordot(v.T, p, axes=1).transpose(0, 2, 1)), np.diag(w[keep]))
     try:
-        return None, q, core, minimal_hill(_quotient_map(*core), tol)
-    except (NotStarLinearError, RankMismatchError) as exc:
-        return type(exc)(f"Hill extraction failed: {exc}"), q, core, None
+        _check_hill(rep, lambda x: (x @ a_d + a_d.T @ x, x @ b_d + b_d.T @ x), tol)
+    except RankMismatchError as exc:
+        return RankMismatchError(f"Hill extraction failed: {exc}"), q, (a_d, b_d), None, None
+    return None, q, (a_d, b_d), rep, v
 
 
 def hill_pick(a, b, tol: Tolerances = DEFAULT_TOL):
     """Hill-Pick data of the pair (A, B): the matrix H whose definiteness
     decides feasibility, the coefficients C_k, and the sizes (m, m_max).
 
-    H is the one :func:`solve` reports: the eigenvalues of the core's Choi
-    matrix, which are not those of the n^2 x n^2 one when d = m_max < n, but
-    have the same signs and number.  The core coefficients are lifted to
-    n x n: L_{A,B} and the core map are one form sum_jk N_jk q_j^T V q_k at
-    A and at A_d, where Q_j = q_j(A) is the power basis of {A}''.  Since
-    Q_0 = I / sqrt(n), q_j(A_d) e_0 = e_j / sqrt(n), so a core coefficient
-    sum_j u_jk q_j(A_d)^T has u_k = sqrt(n) times its first row, and
-    C_k = sum_j u_jk Q_j^T.  These m coefficients are a minimal full-size
-    representation, but not orthonormal as :func:`minimal_hill`'s are.
+    H, the one :func:`solve` reports, is the diagonal of the nonzero Choi
+    eigenvalues of L_{A,B}; the n x n C_k are orthonormal (module docstring).
 
-    Raises :func:`solve`'s ValueError, or the exception of its first failing
-    gate: NotLyapunovRegularError, NotInBicommutantError, or a failed Hill
-    extraction's NotStarLinearError or RankMismatchError.
+    Raises :func:`solve`'s ValueError, or its first failing gate's
+    NotLyapunovRegularError, NotInBicommutantError or RankMismatchError.
     """
     a, b = _square("interpolation data", a, b)
-    err, q, _, rep = _hill_stage(a, b, tol)
+    err, q, _, rep, v = _hill_stage(a, b, tol)
     if err is not None:
         raise err
-    coefficients = tuple(np.sqrt(a.shape[0]) * np.tensordot(c[0], q, axes=1).T for c in rep.coefficients)
-    return rep.hill_matrix, coefficients, rep.m, len(q)
+    return rep.hill_matrix, tuple(np.tensordot(v.T, q, axes=1).transpose(0, 2, 1)), rep.m, len(q)
 
 
 @dataclass(frozen=True)
@@ -267,8 +284,7 @@ def range_structure(pencils: PencilPair, tol: Tolerances = DEFAULT_TOL) -> Range
     mp1 = m + 1
     ls = pencils.stacked_l()
     u, sv, _ = np.linalg.svd(ls, full_matrices=False)
-    cutoff = tol.rank_rel * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > cutoff))
+    rank = int(_above_rank_cut(sv, tol).sum())
     q = u[:, :rank]
     proj = q @ q.T
     pi = np.einsum("pjrj->pr", proj.reshape(mp1, n, mp1, n)) / n
@@ -333,26 +349,18 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
     definiteness certificate does not apply), infeasible (H has a genuinely
     negative eigenvalue: no interpolant exists), and numerical_failure for
     borderline or inconsistent numerics.  Success returns status "solved"
-    with a realization satisfying ||f(A) - B||_F <= residual_abs (1 + ||B||_F).
-
-    The Hill stage, the pencils and the skew solve run at size d = m_max on
-    the cyclic core (A_d, B_d); the f(A) check runs at full size on the
-    original A and B.
+    with a realization satisfying ||f(A) - B||_F <= residual_abs (1 + ||B||_F),
+    checked at full size on the original A and B.
     """
     a, b = _square("interpolation data", a, b)
-    err, q, core, rep = _hill_stage(a, b, tol)
+    err, q, core, rep, _ = _hill_stage(a, b, tol)
     mm = None if q is None else len(q)
     if err is not None:
         status = _GATE_STATUS.get(type(err), "numerical_failure")
         return SolveReport(status, None, None, mm, None, None, None, str(err))
 
-    h, m = rep.hill_matrix, rep.m
-    if m > mm:
-        return SolveReport(
-            "numerical_failure", h, m, mm, None, None, None,
-            f"Hill size {m} exceeds bicommutant dimension {mm}; rank decisions are inconsistent",
-        )
-    eigs = np.diag(h)  # minimal_hill returns H diagonal, eigenvalues ascending
+    h, m = rep.hill_matrix, rep.m  # m <= mm: H is cut from the mm x mm n Gamma
+    eigs = np.diag(h)  # H is diagonal, eigenvalues ascending
     min_eig, max_eig = (float(eigs[0]), float(eigs[-1])) if m else (0.0, 0.0)
     floor = tol.psd_rel * psd_scale(h)
     notes = [f"hill eigenvalue range [{min_eig:.6e}, {max_eig:.6e}]"]

@@ -3,12 +3,11 @@ import json
 import numpy as np
 import pytest
 
-import prointerp.hill as hill_module
 from prointerp.cli import _tolerances, build_parser, main
-from prointerp.errors import NotStarLinearError, RankMismatchError
-from prointerp.lyapunov import _quotient_map
+from prointerp.errors import RankMismatchError
 from prointerp.matrix_kit import format_matrix_text, matrix_to_json
 from prointerp.pro import ProRealization, eval_matrix
+from prointerp.solver import hill_pick
 
 
 def write_json(path, m):
@@ -183,6 +182,14 @@ def test_io_failures_exit_1(tmp_path, capsys):
     fpath.write_text(json.dumps({"m": 2, "ell": ["1", True], "M_lower": [0.0]}))
     assert main(["eval", str(fpath), ok]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    # a JSON integer too large for a float, in a matrix and in a realization
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"rows": 1, "cols": 1, "data": [[10**400]]}))
+    assert main(["solve", str(big), two]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    fpath.write_text(json.dumps({"m": 2, "ell": [1.0, 10**400], "M_lower": [0.0]}))
+    assert main(["eval", str(fpath), ok]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_text_matrix_input_round_trip(capsys, tmp_path):
@@ -236,40 +243,23 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, kept):
             assert getattr(args, flag[2:]) == 3
 
 
-def test_hill_builds_lab_map_once(monkeypatch, capsys, pair):
-    # Every route to L_{A,B}, public lab_map or the Hill stage, goes through
-    # the one private builder, so counting it counts the builds.
-    real = _quotient_map
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    for module in ("prointerp.lyapunov", "prointerp.solver", "prointerp.cli"):
-        monkeypatch.setattr(f"{module}._quotient_map", counting, raising=False)
+def test_hill_builds_lab_map_once(full_size_hill_calls, capsys, pair):
+    # The Hill-Pick matrix comes from the d x d Lyapunov solve on the
+    # cyclic core, so L_{A,B} is not built at all.
     assert main(["hill", *pair]) == 0
-    assert len(calls) == 1
+    assert full_size_hill_calls == []
 
 
-def test_hill_builds_and_decomposes_the_choi_matrix_once(monkeypatch, capsys, pair):
-    # The CP verdict is read off H, so the one Choi matrix is the one that
-    # minimal_hill builds and eigendecomposes with eigh.
-    real = hill_module.choi
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
+def test_hill_builds_and_decomposes_the_choi_matrix_once(full_size_hill_calls, monkeypatch, capsys, pair):
+    # The CP verdict is read off H, and H off one d x d eigh of the
+    # Hill-Pick matrix: no Choi matrix is built and eigvalsh is not called.
     def forbidden(*args, **kwargs):
         raise AssertionError("eigvalsh called")
 
-    monkeypatch.setattr(hill_module, "choi", counting)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     assert main(["hill", *pair, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["completely_positive"] is True
-    assert len(calls) == 1
+    assert full_size_hill_calls == []
 
 
 def test_infinite_tolerance_is_rejected(tmp_path, capsys):
@@ -280,11 +270,9 @@ def test_infinite_tolerance_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("error", [RankMismatchError, NotStarLinearError])
-def test_hill_extraction_failure_exits_1(monkeypatch, capsys, pair, error):
-    def fail(lmap, tol):
-        raise error("injected")
-
-    monkeypatch.setattr("prointerp.solver.minimal_hill", fail)
+@pytest.mark.parametrize("error", [RankMismatchError])
+def test_hill_extraction_failure_exits_1(perturbed_apply_hill, capsys, pair, error):
+    with pytest.raises(error):
+        hill_pick(np.diag([1.0, 2.0]), np.diag([2.0, 3.0]))  # the pair the fixture writes
     assert main(["hill", *pair]) == 1
     assert capsys.readouterr().err.startswith("error: Hill extraction failed")

@@ -181,6 +181,7 @@ def test_matrix_json_round_trip():
     {"rows": 1, "cols": 1, "data": [["1"]]},
     {"rows": 1, "cols": 1, "data": [[[1]]]},
     {"rows": 1, "cols": 1, "data": [[None]]},
+    {"rows": 1, "cols": 1, "data": [[10**400]]},  # a JSON integer no float can hold
 ])
 def test_matrix_from_json_rejects_malformed(broken):
     with pytest.raises(ValueError):

@@ -112,6 +112,7 @@ def test_json_round_trip():
     {"m": 2, "ell": ["1", True], "M_lower": [0.0]},
     {"m": 1, "ell": [[1.0]], "M_lower": []},
     {"m": 2, "ell": [1.0, 2.0], "M_lower": [[0.5]]},
+    {"m": 2, "ell": [1.0, 2.0], "M_lower": [10**400]},  # a JSON integer no float can hold
 ])
 def test_from_json_rejects_malformed(broken):
     with pytest.raises(ValueError):

@@ -213,17 +213,13 @@ def test_solve_report_fields_by_status():
     assert blocked.m_max == 2  # the bicommutant itself was still computable
 
 
-@pytest.mark.parametrize("error", [RankMismatchError, NotStarLinearError])
-def test_hill_extraction_failure(monkeypatch, error):
-    def fail(lmap, tol):
-        raise error("injected")
-
-    monkeypatch.setattr("prointerp.solver.minimal_hill", fail)
+@pytest.mark.parametrize("error", [RankMismatchError])
+def test_hill_extraction_failure(perturbed_apply_hill, error):
     report = solve(A_JORDAN, B_JORDAN)
     assert report.status == "numerical_failure"
     assert report.m_max == 2 and report.m is None and report.hill_pick is None
     assert report.diagnostics.startswith("Hill extraction failed")
-    with pytest.raises(error, match="^Hill extraction failed: injected$"):
+    with pytest.raises(error, match="^Hill extraction failed: Hill representation does not reproduce the map"):
         hill_pick(A_JORDAN, B_JORDAN)
 
 
@@ -299,22 +295,13 @@ def test_solve_clustered_sixteen_by_four():
     assert np.linalg.norm(eval_matrix(report.realization, a) - b) <= gate
 
 
-def test_solve_runs_the_hill_stage_on_the_cyclic_core(monkeypatch):
-    # n = 40 with m_max = 4: L_{A,B}, its Choi matrix and the pencils are
-    # built at d = 4, so no n^2 x n^2 array (19.5 MiB at n = 40) is allocated
+def test_solve_runs_the_hill_stage_on_the_cyclic_core(full_size_hill_calls):
+    # n = 40 with m_max = 4: the Hill-Pick matrix is 4 x 4 and the pencils
+    # are built at d = 4, so no n^2 x n^2 array (19.5 MiB at n = 40) is
+    # allocated, and L_{A,B}, its Choi matrix and minimal_hill are not used
     import tracemalloc
 
-    import prointerp.solver as solver_module
-
     a, b = clustered_pair(40, seed=40)
-    real = solver_module._quotient_map
-    shapes = []
-
-    def spy(x, y):
-        shapes.append((x.shape, y.shape))
-        return real(x, y)
-
-    monkeypatch.setattr(solver_module, "_quotient_map", spy)
     tracemalloc.start()
     try:
         report = solve(a, b)
@@ -326,34 +313,25 @@ def test_solve_runs_the_hill_stage_on_the_cyclic_core(monkeypatch):
     assert report.interp_residual <= gate
     assert np.linalg.norm(eval_matrix(report.realization, a) - b) <= gate
     assert peak < 4 * 2**20
-    assert shapes == [((4, 4), (4, 4))]
+    assert full_size_hill_calls == []
 
 
-def test_hill_pick_runs_on_the_cyclic_core(monkeypatch, tmp_path, capsys):
+def test_hill_pick_runs_on_the_cyclic_core(full_size_hill_calls, tmp_path, capsys):
     # hill_pick and `prointerp hill` share solve's Hill stage at d = 4 and
-    # only lift its coefficients to 40 x 40: no n^2 x n^2 array is built
+    # only lift its eigenvectors to 40 x 40 coefficients: no n^2 x n^2
+    # array is built
     import tracemalloc
 
-    import prointerp.solver as solver_module
     from prointerp.cli import main
     from prointerp.matrix_kit import matrix_to_json
 
     a, b = clustered_pair(40, seed=40)
-    real = solver_module._quotient_map
-    shapes = []
-
-    def spy(x, y):
-        shapes.append((x.shape, y.shape))
-        return real(x, y)
-
-    monkeypatch.setattr(solver_module, "_quotient_map", spy)
     tracemalloc.start()
     try:
         h, c, m, mm = hill_pick(a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert shapes == [((4, 4), (4, 4))]
     assert peak < 4 * 2**20
     assert m == mm == 4 and len(c) == 4 and c[0].shape == (40, 40)
 
@@ -365,6 +343,7 @@ def test_hill_pick_runs_on_the_cyclic_core(monkeypatch, tmp_path, capsys):
     assert main(["hill", *paths, "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["m"] == out["m_max"] == 4
+    assert full_size_hill_calls == []
 
 
 def feasible_distinct_pair(n, seed):
@@ -631,23 +610,24 @@ def test_verdicts_are_similarity_invariant_on_derogatory_a(name):
 
 def reference_stage(a, b, tol):
     """The Hill stage on the reference formulas: membership by least squares
-    against the power basis, and A_d[j, k] = <Q_j, A Q_k>_F."""
+    against the power basis, A_d[j, k] = <Q_j, A Q_k>_F, and the minimal
+    Hill representation of the core's L_{A_d,B_d} from its Choi matrix."""
     from prointerp.commutant import SubspaceBasis, bicommutant_basis, membership
     from prointerp.hill import minimal_hill
-    from prointerp.lyapunov import _quotient_map, is_lyapunov_regular
+    from prointerp.lyapunov import is_lyapunov_regular, lab_map
 
     if not is_lyapunov_regular(a, tol):
-        return NotLyapunovRegularError("not regular"), None, None, None
+        return NotLyapunovRegularError("not regular"), None, None, None, None
     q = np.array(bicommutant_basis(a, tol).basis)
     mem = membership(b, SubspaceBasis(a.shape[0], q), tol)
     if not mem.is_member:
-        return NotInBicommutantError(f"residual {mem.residual:.6e}"), q, None, None
+        return NotInBicommutantError(f"residual {mem.residual:.6e}"), q, None, None, None
     flat = q.reshape(len(q), -1)
     core = tuple(flat @ (x @ q).reshape(len(q), -1).T for x in (a, b))
     try:
-        return None, q, core, minimal_hill(_quotient_map(*core), tol)
+        return None, q, core, minimal_hill(lab_map(*core, tol), tol), None
     except (NotStarLinearError, RankMismatchError) as exc:
-        return exc, q, core, None
+        return exc, q, core, None, None
 
 
 def stage_pairs():
@@ -672,7 +652,7 @@ def test_hill_stage_reads_a_d_and_membership_off_the_arnoldi_pass():
 
     verdicts = []
     for a, b in stage_pairs():
-        err, q, core, _ = _hill_stage(a, b, DEFAULT_TOL)
+        err, q, core, *_ = _hill_stage(a, b, DEFAULT_TOL)
         space = bicommutant_basis(a)
         assert np.array_equal(q, np.array(space.basis))
         mem = membership(b, space)
@@ -715,8 +695,10 @@ def test_solve_makes_no_lstsq_or_membership_call(monkeypatch):
 @pytest.mark.parametrize("delta", [10.0**-k for k in range(2, 9)])
 def test_near_derogatory_verdicts_match_the_reference_stage(monkeypatch, n, delta):
     # eigenvalues 1, 1 + delta, 2, 3, each n / 4 times, and B = f(A) for a
-    # 4-state f: the Arnoldi subdiagonal of H is tiny at small delta, and
-    # status, m and m_max must stay those of the reference formulas
+    # 4-state f: the Arnoldi subdiagonal of H is tiny at small delta.  Where
+    # the power basis has the true degree 4, status, m and m_max must stay
+    # those of the reference formulas; where it overcounts the degree
+    # (8 at n = 8, delta <= 1e-7), the representation check must trip
     import prointerp.solver as solver_module
     from prointerp.pro import ProRealization
 
@@ -729,4 +711,67 @@ def test_near_derogatory_verdicts_match_the_reference_stage(monkeypatch, n, delt
     report = solve(a, b)
     monkeypatch.setattr(solver_module, "_hill_stage", reference_stage)
     reference = solve(a, b)
-    assert (report.status, report.m, report.m_max) == (reference.status, reference.m, reference.m_max)
+    if reference.m_max == 4:
+        assert (report.status, report.m, report.m_max) == (reference.status, reference.m, reference.m_max)
+    else:
+        assert (n, reference.m_max) == (8, 8) and delta <= 1e-7
+        assert report.status == "numerical_failure" and report.m_max == 8
+        assert report.diagnostics.startswith("Hill extraction failed: Hill representation does not reproduce the map")
+
+
+def benchmark_instances(monkeypatch, kind, seed):
+    """The seeded solve instances of the benchmark's generator
+    ``perfbench/instances.py``, which imports nothing from prointerp."""
+    import importlib
+    import pathlib
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    return getattr(importlib.import_module("instances"), f"{kind}_instances")(seed)
+
+
+def test_clustered_seed_36_pair_that_clears_the_rank_cut_at_full_size_is_solved(monkeypatch):
+    # a (12, 6) pair, feasible by construction, whose 6th Choi eigenvalue is
+    # 1.015e-9 of the largest at full size but fell under the 1e-9 cut on
+    # the core's 36 x 36 Choi matrix; the Hill-Pick matrix gives the full-size one
+    inst = benchmark_instances(monkeypatch, "clustered", 36)[2]
+    assert (inst.n, inst.state_dim, inst.label) == (12, 6, "feasible")
+    report = solve(inst.a, inst.b)
+    assert (report.status, report.m, report.m_max) == ("solved", 6, 6)
+    assert report.interp_residual <= 1e-8 * (1 + np.linalg.norm(inst.b))
+
+
+@pytest.mark.parametrize("kind", ["distinct", "clustered"])
+def test_hill_pick_is_the_nonzero_full_size_choi_spectrum(monkeypatch, kind):
+    # H is the nonzero spectrum of the n^2 x n^2 Choi matrix of L_{A,B}, and
+    # the lifted C_k are orthonormal and represent L_{A,B} up to the
+    # eigenvalues under the rank cut: with orthonormal C_k, each dropped
+    # term w_k C_k V C_k^T has norm at most |w_k| ||V||_F
+    from prointerp.errors import ProinterpError
+    from prointerp.hill import HillRepresentation, apply_hill, choi
+    from prointerp.lyapunov import lab_map
+    from prointerp.matrix_kit import DEFAULT_TOL, _above_rank_cut
+
+    checked = 0
+    for inst in benchmark_instances(monkeypatch, kind, 3):
+        try:
+            h, c, m, _ = hill_pick(inst.a, inst.b)
+        except ProinterpError:
+            continue
+        lmap = lab_map(inst.a, inst.b)
+        cm = choi(lmap)
+        w = np.linalg.eigvalsh(0.5 * (cm + cm.T))
+        keep = _above_rank_cut(w, DEFAULT_TOL)
+        kept, dropped = w[keep], np.abs(w[~keep]).sum()
+        assert kept.size == m
+        assert np.abs(np.diag(h) - kept).max(initial=0.0) <= 1e-12 * np.abs(w).max()
+        stack = np.array(c).reshape(m, -1)
+        assert np.abs(stack @ stack.T - np.eye(m)).max(initial=0.0) <= 1e-12
+        rep = HillRepresentation(inst.n, m, c, h)
+        rng = np.random.default_rng(inst.iid)
+        for _ in range(3):
+            v = rng.standard_normal((inst.n, inst.n))
+            want = lmap.apply(v)
+            gate = 1e-12 * (1.0 + np.linalg.norm(want)) + dropped * np.linalg.norm(v)
+            assert np.linalg.norm(apply_hill(rep, v) - want) <= gate
+        checked += 1
+    assert checked >= 20
