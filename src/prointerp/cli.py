@@ -34,6 +34,7 @@ from .lyapunov import lyap_order_sample_test
 from .matrix_kit import (
     DEFAULT_TOL,
     Tolerances,
+    _square,
     format_matrix_text,
     load_matrix,
     matrix_to_json,
@@ -162,8 +163,8 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
-    b = load_matrix(args.b)
-    value = eval_matrix(_load_realization(args.f), load_matrix(args.a), tol)
+    a, b = _square("interpolation data", load_matrix(args.a), load_matrix(args.b))
+    value = eval_matrix(_load_realization(args.f), a, tol)
     residual = float(np.linalg.norm(value - b))
     gate = tol.residual_abs * (1.0 + float(np.linalg.norm(b)))
     ok = residual <= gate

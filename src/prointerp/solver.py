@@ -35,12 +35,13 @@ H = diag(w) is a minimal Hill representation.  At distinct eigenvalues,
 Gamma(lambda_i, lambda_j) = (g(lambda_i) + g(lambda_j)) / (lambda_i + lambda_j)
 is the classical Pick matrix.
 
-:func:`solve` runs the regularity and membership gates at the full size n
-and the rest on the cyclic core (A_d, B_d), the matrices of X -> A X and
-X -> B X on the power basis, with C_k = sum_j v_jk P_j^T, P_j = q_j(A_d).
-f(A) = B holds exactly when f(A_d) = B_d, because f(A) depends only on f
-and its derivatives on the spectrum at minimal-polynomial multiplicities,
-and A_d has A's minimal polynomial.  The final f(A) check runs on A and B.
+:func:`solve` runs the regularity and membership gates and the f(A) check at
+full size on A and B, and poses the R = I system in coordinates on Q (Ball,
+Gohberg & Rodman, Interpolation of Rational Matrix Functions, 1990).  Its
+blocks I = sqrt(n) Q_0, G_k = sqrt(w_k) sum_j v_jk Q_j, B = sum_j c_j Q_j and
+A G_k have the coordinates sqrt(n) e_0, g = V diag(sqrt(w)), c and, up to the
+Arnoldi remainder, A_d g; as Q is orthonormal, the d x (m+1) system
+[sqrt(n) e_0 | g] S^T = [c | -A_d g] has the S of the full-size one.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .commutant import _arnoldi
 from .errors import (
     NotInBicommutantError,
     NotLyapunovRegularError,
-    NotPositiveDefiniteError,
     RankMismatchError,
     ResidualTooLargeError,
     SingularPencilError,
@@ -121,43 +121,41 @@ def standard_collection(n: int):
 
 def _hill_stage(a, b, tol: Tolerances):
     """The Hill stage :func:`solve` and :func:`hill_pick` share, on checked
-    input: regularity at full size, one Arnoldi pass (Q, A_d = H), membership
-    by the residual of B's projection on Q, B_d[j, k] = <Q_j, B Q_k>_F formed
-    directly, and n Gamma (module docstring) under the rank cut.  The P_j come
-    from the Arnoldi recurrence, whose divisors are tiny on nearly derogatory
-    A, so the core representation is checked on seeded X as
-    L_{A_d,B_d}(X A_d + A_d^T X) = X B_d + B_d^T X.
+    input: regularity at full size, one Arnoldi pass (Q, A_d = H), the
+    coordinates c of B on Q with membership by the projection residual, and
+    n Gamma = V diag(w) V^T (module docstring) under the rank cut.  The core
+    representation C_k = sum_j v_jk P_j^T is built only to be checked: the
+    P_j = q_j(A_d) come from the Arnoldi recurrence, whose divisors are tiny
+    on nearly derogatory A, so it is checked on seeded X as
+    L_{A_d,B_d}(X A_d + A_d^T X) = X B_d + B_d^T X, B_d[j, k] = <Q_j, B Q_k>_F.
 
-    Returns (error, q, core, rep, v): the first failure's exception or None,
-    then what was built before it (None from the failing step on), with rep
-    the core representation and v the kept eigenvectors of n Gamma.
+    Returns (error, q, pick): the first failure's exception or None, Q (None
+    if regularity fails), and the Pick data (A_d, c, w, V), w ascending, or None.
     """
     if not is_lyapunov_regular(a, tol):
-        err = NotLyapunovRegularError("base point has an eigenvalue pair summing to zero at tolerance")
-        return err, None, None, None, None
+        return NotLyapunovRegularError("base point has an eigenvalue pair summing to zero at tolerance"), None, None
     q, a_d = _arnoldi(a, tol)
     d, n = a_d.shape[0], a.shape[0]
     flat = q.reshape(d, -1)
     c = flat @ b.reshape(-1)
     residual = float(np.linalg.norm(b.reshape(-1) - c @ flat))
     if residual > tol.residual_abs * (1.0 + np.linalg.norm(b)):
-        err = NotInBicommutantError(f"target is not in the bicommutant: residual {residual:.6e}")
-        return err, q, None, None, None
-    b_d = flat @ (b @ q).reshape(d, -1).T
+        return NotInBicommutantError(f"target is not in the bicommutant: residual {residual:.6e}"), q, None
     e0_beta = np.outer(np.eye(d)[0], c / np.sqrt(n))
     gamma = _solve_symmetric(_symmetric_lyap_matrix(a_d.T), (e0_beta + e0_beta.T)[None])[0]
     w, v = np.linalg.eigh(n * gamma)
     keep = _above_rank_cut(w, tol)
-    v = v[:, keep]
+    w, v = w[keep], v[:, keep]
+    b_d = flat @ (b @ q).reshape(d, -1).T
     p = [np.eye(d) / np.sqrt(n)]
     for k in range(d - 1):  # A_d P_k = sum_{j <= k+1} H_jk P_j, solved for P_{k+1}
         p.append((a_d @ p[k] - np.tensordot(a_d[: k + 1, k], p, axes=1)) / a_d[k + 1, k])
-    rep = HillRepresentation(d, v.shape[1], tuple(np.tensordot(v.T, p, axes=1).transpose(0, 2, 1)), np.diag(w[keep]))
+    rep = HillRepresentation(d, w.size, tuple(np.tensordot(v.T, p, axes=1).transpose(0, 2, 1)), np.diag(w))
     try:
         _check_hill(rep, lambda x: (x @ a_d + a_d.T @ x, x @ b_d + b_d.T @ x), tol)
     except RankMismatchError as exc:
-        return RankMismatchError(f"Hill extraction failed: {exc}"), q, (a_d, b_d), None, None
-    return None, q, (a_d, b_d), rep, v
+        return RankMismatchError(f"Hill extraction failed: {exc}"), q, None
+    return None, q, (a_d, c, w, v)
 
 
 def hill_pick(a, b, tol: Tolerances = DEFAULT_TOL):
@@ -171,10 +169,11 @@ def hill_pick(a, b, tol: Tolerances = DEFAULT_TOL):
     NotLyapunovRegularError, NotInBicommutantError or RankMismatchError.
     """
     a, b = _square("interpolation data", a, b)
-    err, q, _, rep, v = _hill_stage(a, b, tol)
+    err, q, pick = _hill_stage(a, b, tol)
     if err is not None:
         raise err
-    return rep.hill_matrix, tuple(np.tensordot(v.T, q, axes=1).transpose(0, 2, 1)), rep.m, len(q)
+    _, _, w, v = pick
+    return np.diag(w), tuple(np.tensordot(v.T, q, axes=1).transpose(0, 2, 1)), w.size, len(q)
 
 
 @dataclass(frozen=True)
@@ -233,8 +232,12 @@ def solve_skew(pencils: PencilPair, tol: Tolerances = DEFAULT_TOL):
     residual_abs * (1 + ||M_R stack||_F).
     """
     mp1 = pencils.m + 1
-    lmat = pencils.stacked_l().reshape(mp1, -1).T
-    mmat = pencils.stacked_m().reshape(mp1, -1).T
+    return _skew_lstsq(pencils.stacked_l().reshape(mp1, -1).T, pencils.stacked_m().reshape(mp1, -1).T, tol)
+
+
+def _skew_lstsq(lmat, mmat, tol: Tolerances):
+    """:func:`solve_skew` on the matrices Lmat, Mmat it defines."""
+    mp1 = lmat.shape[1]
     # V must be square: a wide Lmat takes the full factors, zero-padding Sigma
     u, sv, vt = np.linalg.svd(lmat, full_matrices=lmat.shape[0] < mp1)
     sig = np.pad(sv, (0, mp1 - sv.size))
@@ -315,7 +318,8 @@ def perturb_free_block(s, pencils: PencilPair, seed: int = 0, tol: Tolerances = 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Full outcome of :func:`solve`, serializable to the documented JSON."""
+    """Full outcome of :func:`solve`, serializable to the documented JSON;
+    ``skew_residual`` is that of the full-size R = I pencils (module docstring)."""
 
     status: str
     hill_pick: Optional[np.ndarray]
@@ -353,15 +357,15 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
     checked at full size on the original A and B.
     """
     a, b = _square("interpolation data", a, b)
-    err, q, core, rep, _ = _hill_stage(a, b, tol)
+    err, q, pick = _hill_stage(a, b, tol)
     mm = None if q is None else len(q)
     if err is not None:
         status = _GATE_STATUS.get(type(err), "numerical_failure")
         return SolveReport(status, None, None, mm, None, None, None, str(err))
 
-    h, m = rep.hill_matrix, rep.m  # m <= mm: H is cut from the mm x mm n Gamma
-    eigs = np.diag(h)  # H is diagonal, eigenvalues ascending
-    min_eig, max_eig = (float(eigs[0]), float(eigs[-1])) if m else (0.0, 0.0)
+    a_d, c, w, v = pick
+    h, m = np.diag(w), w.size  # m <= mm: w is cut from the mm eigenvalues of n Gamma
+    min_eig, max_eig = (float(w[0]), float(w[-1])) if m else (0.0, 0.0)
     floor = tol.psd_rel * psd_scale(h)
     notes = [f"hill eigenvalue range [{min_eig:.6e}, {max_eig:.6e}]"]
 
@@ -382,12 +386,12 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> SolveReport:
             f"Hill-Pick matrix is on the positivity boundary (min eigenvalue {min_eig:.6e}); " + notes[0],
         )
 
+    lmat = np.column_stack([np.sqrt(len(a)) * np.eye(mm)[0], v * np.sqrt(w)])  # w > floor > 0 here
     try:
-        pencils = build_pencils(*core, h, rep.coefficients, [np.eye(mm)], tol)
-        s, skew_residual = solve_skew(pencils, tol)
+        s, skew_residual = _skew_lstsq(lmat, np.column_stack([c, -a_d @ lmat[:, 1:]]), tol)
         f = extract_realization(s)
         fa = _eval_pencil(f.ell, f.state_matrix, a)  # the original A, which passed the regularity gate
-    except (NotPositiveDefiniteError, ResidualTooLargeError, SingularPencilError, np.linalg.LinAlgError) as exc:
+    except (ResidualTooLargeError, SingularPencilError, np.linalg.LinAlgError) as exc:
         return SolveReport(
             "numerical_failure", h, m, mm, None, None, None,
             f"pencil stage failed: {exc}; " + notes[0],

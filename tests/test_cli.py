@@ -134,6 +134,19 @@ def test_verify_command(capsys, tmp_path, pair):
     assert main(["verify", str(fpath), a, off, "--tol-residual", "0.5"]) == 0
 
 
+def test_verify_rejects_a_target_of_another_shape(capsys, tmp_path, pair):
+    # f(A) - B must not broadcast: the zero realization at a 2 x 2 A against
+    # a 1 x 1 or a 1 x 2 zero B is an input error, not a match
+    a, _ = pair
+    fpath = tmp_path / "zero.json"
+    fpath.write_text(json.dumps({"m": 0, "ell": [], "M_lower": []}))
+    for shape in [(1, 1), (1, 2)]:
+        b = write_text(tmp_path / "b.txt", np.zeros(shape))
+        assert main(["verify", str(fpath), a, b]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_bicommutant_command(capsys, tmp_path):
     jordan = write_json(tmp_path / "j.json", [[1.0, 1.0], [0.0, 1.0]])
     assert main(["bicommutant", jordan, "--json"]) == 0

@@ -296,9 +296,10 @@ def test_solve_clustered_sixteen_by_four():
 
 
 def test_solve_runs_the_hill_stage_on_the_cyclic_core(full_size_hill_calls):
-    # n = 40 with m_max = 4: the Hill-Pick matrix is 4 x 4 and the pencils
-    # are built at d = 4, so no n^2 x n^2 array (19.5 MiB at n = 40) is
-    # allocated, and L_{A,B}, its Choi matrix and minimal_hill are not used
+    # n = 40 with m_max = 4: the Hill-Pick matrix is 4 x 4 and the pencil
+    # system is posed in d = 4 coordinates, so no n^2 x n^2 array (19.5 MiB
+    # at n = 40) is allocated, and L_{A,B}, its Choi matrix and minimal_hill
+    # are not used
     import tracemalloc
 
     a, b = clustered_pair(40, seed=40)
@@ -385,23 +386,6 @@ def test_identity_probe_gives_the_matrix_unit_solution(a, b):
     s_units, _ = solve_skew(units)
     s_single, _ = solve_skew(single)
     assert np.linalg.norm(s_single - s_units) <= 1e-10 * np.linalg.norm(s_units)
-
-
-def test_solve_builds_pencils_on_one_probe(monkeypatch):
-    import prointerp.solver as solver_module
-
-    sizes = []
-    build = solver_module.build_pencils
-
-    def recording_build(a, b, hill_matrix, coefficients, collection, *rest, **kwargs):
-        sizes.append(len(collection))
-        return build(a, b, hill_matrix, coefficients, collection, *rest, **kwargs)
-
-    monkeypatch.setattr(solver_module, "build_pencils", recording_build)
-    a, b = feasible_distinct_pair(4, 3)
-    assert solve(a, b).status == "solved"
-    assert solve(A_JORDAN, B_JORDAN).status == "solved"
-    assert sizes == [1, 1]
 
 
 def lstsq_skew(pencils):
@@ -609,25 +593,28 @@ def test_verdicts_are_similarity_invariant_on_derogatory_a(name):
 
 
 def reference_stage(a, b, tol):
-    """The Hill stage on the reference formulas: membership by least squares
-    against the power basis, A_d[j, k] = <Q_j, A Q_k>_F, and the minimal
-    Hill representation of the core's L_{A_d,B_d} from its Choi matrix."""
+    """The Hill stage's Pick data (A_d, c, w, V) on the reference formulas:
+    c by least-squares membership against the power basis,
+    A_d[j, k] = <Q_j, A Q_k>_F, and (w, V) from the full-size minimal Hill
+    representation of L_{A,B} from its Choi matrix, v_jk = <Q_j, C_k^T>_F."""
     from prointerp.commutant import SubspaceBasis, bicommutant_basis, membership
     from prointerp.hill import minimal_hill
     from prointerp.lyapunov import is_lyapunov_regular, lab_map
 
     if not is_lyapunov_regular(a, tol):
-        return NotLyapunovRegularError("not regular"), None, None, None, None
+        return NotLyapunovRegularError("not regular"), None, None
+    n = a.shape[0]
     q = np.array(bicommutant_basis(a, tol).basis)
-    mem = membership(b, SubspaceBasis(a.shape[0], q), tol)
+    mem = membership(b, SubspaceBasis(n, q), tol)
     if not mem.is_member:
-        return NotInBicommutantError(f"residual {mem.residual:.6e}"), q, None, None, None
+        return NotInBicommutantError(f"residual {mem.residual:.6e}"), q, None
     flat = q.reshape(len(q), -1)
-    core = tuple(flat @ (x @ q).reshape(len(q), -1).T for x in (a, b))
     try:
-        return None, q, core, minimal_hill(lab_map(*core, tol), tol), None
+        rep = minimal_hill(lab_map(a, b, tol), tol)
     except (NotStarLinearError, RankMismatchError) as exc:
-        return exc, q, core, None, None
+        return exc, q, None
+    v = flat @ np.array([c.T for c in rep.coefficients]).reshape(rep.m, n * n).T
+    return None, q, (flat @ (a @ q).reshape(len(q), -1).T, mem.coords, np.diag(rep.hill_matrix), v)
 
 
 def stage_pairs():
@@ -652,7 +639,7 @@ def test_hill_stage_reads_a_d_and_membership_off_the_arnoldi_pass():
 
     verdicts = []
     for a, b in stage_pairs():
-        err, q, core, *_ = _hill_stage(a, b, DEFAULT_TOL)
+        err, q, pick = _hill_stage(a, b, DEFAULT_TOL)
         space = bicommutant_basis(a)
         assert np.array_equal(q, np.array(space.basis))
         mem = membership(b, space)
@@ -662,14 +649,28 @@ def test_hill_stage_reads_a_d_and_membership_off_the_arnoldi_pass():
         residual = np.linalg.norm(b.reshape(-1) - (flat @ b.reshape(-1)) @ flat)
         assert abs(residual - mem.residual) <= 1e-12 * (1.0 + np.linalg.norm(b))
         if not mem.is_member:
-            assert isinstance(err, NotInBicommutantError) and core is None
+            assert isinstance(err, NotInBicommutantError) and pick is None
             reported = float(re.search(r"residual (\S+)", str(err)).group(1))
             assert reported == pytest.approx(mem.residual, rel=1e-6)
             continue
         assert err is None
         old = flat @ (a @ q).reshape(len(q), -1).T
-        assert np.linalg.norm(core[0] - old) <= 1e-13 * np.linalg.norm(old)
+        assert np.linalg.norm(pick[0] - old) <= 1e-13 * np.linalg.norm(old)
+        assert np.linalg.norm(pick[1] - mem.coords) <= 1e-12 * (1.0 + np.linalg.norm(b))
     assert verdicts.count(False) == 3
+
+
+def spy_on(monkeypatch, calls, *targets):
+    """Replace each (module, name) by a wrapper that records the name in
+    ``calls`` and then calls the original."""
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
 
 
 def test_solve_makes_no_lstsq_or_membership_call(monkeypatch):
@@ -677,16 +678,25 @@ def test_solve_makes_no_lstsq_or_membership_call(monkeypatch):
 
     pairs = stage_pairs()
     calls = []
-
-    def spy(name, real):
-        def counting(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return counting
-
-    monkeypatch.setattr(np.linalg, "lstsq", spy("lstsq", np.linalg.lstsq))
-    monkeypatch.setattr(commutant_module, "membership", spy("membership", commutant_module.membership))
+    spy_on(monkeypatch, calls, (np.linalg, "lstsq"), (commutant_module, "membership"))
     statuses = {solve(a, b).status for a, b in pairs}
+    assert statuses == {"solved", "infeasible", "not_suboptimal", "not_in_bicommutant"}
+    assert calls == []
+
+
+def test_solve_builds_no_full_size_pencils(monkeypatch):
+    # solve poses the R = I system in coordinates on the power basis, from
+    # the Pick data: no n x n coefficients, no Kronecker pencil, and no second
+    # factorization of the already diagonal H
+    import prointerp.matrix_kit as matrix_kit_module
+    import prointerp.solver as solver_module
+
+    calls = []
+    spy_on(
+        monkeypatch, calls, (solver_module, "build_pencils"), (solver_module, "solve_skew"),
+        (solver_module, "psd_factor"), (matrix_kit_module, "psd_factor"),
+    )
+    statuses = {solve(a, b).status for a, b in stage_pairs() + [(A_JORDAN, B_JORDAN)]}
     assert statuses == {"solved", "infeasible", "not_suboptimal", "not_in_bicommutant"}
     assert calls == []
 
@@ -775,3 +785,22 @@ def test_hill_pick_is_the_nonzero_full_size_choi_spectrum(monkeypatch, kind):
             assert np.linalg.norm(apply_hill(rep, v) - want) <= gate
         checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize("kind", ["distinct", "clustered"])
+def test_solve_matches_the_full_size_identity_pencils(monkeypatch, kind):
+    # the Q-coordinate system solve poses has the S and the residual of the
+    # full-size R = I pencils built on hill_pick's lifted coefficients,
+    # because the power basis is orthonormal and I = sqrt(n) Q_0
+    checked = 0
+    for inst in benchmark_instances(monkeypatch, kind, 3):
+        report = solve(inst.a, inst.b)
+        if report.status != "solved":
+            continue
+        h, c, _, _ = hill_pick(inst.a, inst.b)
+        s_full, residual_full = solve_skew(build_pencils(inst.a, inst.b, h, c, [np.eye(inst.n)]))
+        got, want = (np.concatenate([f.ell, f.state_matrix.ravel()]) for f in (report.realization, extract_realization(s_full)))
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert abs(report.skew_residual - residual_full) <= 1e-12 * (1.0 + np.linalg.norm(inst.b))
+        checked += 1
+    assert checked >= 10
