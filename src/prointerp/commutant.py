@@ -38,7 +38,10 @@ class SubspaceBasis:
 
     def __post_init__(self):
         shape = (len(self.basis), self.n, self.n)
-        stack = np.asarray(self.basis, dtype=float) if shape[0] else np.zeros(shape)  # ValueError if ragged
+        stack = np.asarray(self.basis) if shape[0] else np.zeros(shape)  # ValueError if ragged
+        if np.iscomplexobj(stack):
+            raise ValueError("basis matrices must be real, got complex entries")
+        stack = stack.astype(float, copy=False)
         if stack.shape != shape or not np.all(np.isfinite(stack)):
             raise ValueError(f"basis must be {shape[0]} finite matrices of shape {shape[1:]}")
         object.__setattr__(self, "basis", tuple(stack))

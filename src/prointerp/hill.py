@@ -15,6 +15,7 @@ Choi matrix, equivalently of H for a minimal representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice, product
 from typing import Optional
 
 import numpy as np
@@ -26,8 +27,9 @@ from .matrix_kit import (
     DEFAULT_TOL,
     Tolerances,
     _above_rank_cut,
+    _first_hit,
+    _need_draws,
     as_matrix,
-    growing_chunks,
     psd_scale,
     symmetry_defect,
     unvec,
@@ -179,50 +181,24 @@ class PositivityTestResult:
     trials: int
 
 
-def _sign_patterns(bits: np.ndarray, n: int) -> np.ndarray:
-    """Rows (1, s_1, ..., s_{n-1}) with s_k = -1 where bit k-1 of ``bits`` is set."""
-    flips = (bits[:, None] >> np.arange(n - 1)) & 1
-    return np.hstack([np.ones((bits.size, 1)), 1.0 - 2.0 * flips])
+def _probes(n: int, seed):
+    """The probes of the positivity test as (z, x) pairs: every coordinate
+    pair (e_i, e_j) in row-major order, then every pair of sign patterns
+    (1, s_1, ..., s_{n-1}), pattern k with s_j = -1 where bit j-1 of k is
+    set, then random unit vectors without end: probe ``t`` of that last part
+    draws z and x from an RNG stream derived from ``(seed, t)`` and
+    normalises each on its own."""
 
+    def patterns():
+        for k in range(1 << (n - 1)):
+            yield np.hstack([1.0, 1.0 - 2.0 * ((k >> np.arange(n - 1)) & 1)])
 
-def _probes(n: int, seed, start: int, stop: int):
-    """Probes ``start .. stop-1`` of the positivity test as stacked (z, x) rows.
-
-    The sequence is every coordinate pair (e_i, e_j) in row-major order, then
-    every pair of sign patterns, then random unit vectors: probe ``t`` of
-    that last part draws z and x from an RNG stream derived from
-    ``(seed, t)`` and normalises each on its own.
-    """
-    n_coord = n * n
-    n_struct = n_coord + 4 ** (n - 1)
-    # Probe indices stay below 2**62, so capping the pattern count there
-    # leaves every quotient and remainder below unchanged.
-    n_pat = 1 << min(n - 1, 62)
-    zs, xs = [], []
-
-    idx = np.arange(start, min(stop, n_coord))
-    if idx.size:
-        eye = np.eye(n)
-        zs.append(eye[idx // n])
-        xs.append(eye[idx % n])
-
-    idx = np.arange(max(start, n_coord), min(stop, n_struct)) - n_coord
-    if idx.size:
-        zs.append(_sign_patterns(idx // n_pat, n))
-        xs.append(_sign_patterns(idx % n_pat, n))
-
-    first = max(start, n_struct)
-    if first < stop:
-        z, x = np.empty((stop - first, n)), np.empty((stop - first, n))
-        for row, t in enumerate(range(first, stop)):
-            rng = np.random.default_rng([seed, t])
-            z[row] = rng.standard_normal(n)
-            x[row] = rng.standard_normal(n)
-            z[row] /= np.linalg.norm(z[row])
-            x[row] /= np.linalg.norm(x[row])
-        zs.append(z)
-        xs.append(x)
-    return np.vstack(zs), np.vstack(xs)
+    yield from product(np.eye(n), repeat=2)
+    yield from ((z, x) for z in patterns() for x in patterns())
+    for t in count(n * n + 4 ** (n - 1)):
+        rng = np.random.default_rng([seed, t])
+        z, x = rng.standard_normal(n), rng.standard_normal(n)
+        yield z / np.linalg.norm(z), x / np.linalg.norm(x)
 
 
 def positivity_sample_test(
@@ -238,9 +214,9 @@ def positivity_sample_test(
     probes come first (all coordinate pairs, then all sign-pattern pairs),
     followed by random unit vectors; probe ``t`` among those draws from an
     RNG stream derived from ``(seed, t)``, so the verdict and the witness
-    depend only on ``(seed, trials)``.  The ``trials`` probes run in chunks
-    of 1, 2, 4, ... (:func:`~prointerp.matrix_kit.growing_chunks`), each
-    evaluated as one batch of quadratic forms; the first violating probe is
+    depend only on ``(seed, trials)``.  The ``trials`` probes run through
+    the first-hit search (:func:`~prointerp.matrix_kit._first_hit`), each
+    chunk one batch of quadratic forms; the first violating probe is
     reported.  Finding no violation is one-sided evidence: positive maps
     that are not completely positive will pass this test.
 
@@ -254,8 +230,7 @@ def positivity_sample_test(
     matrix is PSD (Choi 1975), take this path while the margin stays below
     the threshold: up to n = 16 at the default ``psd_rel``.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _need_draws(trials)
     n = lmap.n
     if n < 1:
         raise ValueError("positivity_sample_test needs n >= 1")
@@ -273,15 +248,16 @@ def positivity_sample_test(
 def _probe_search(cm: np.ndarray, n: int, trials: int, seed, threshold: float) -> PositivityTestResult:
     """Run the probes of :func:`positivity_sample_test` against the Choi
     matrix ``cm`` and report the first with q < ``threshold``."""
-    for start, stop in growing_chunks(trials, n * n):
-        z, x = _probes(n, seed, start, stop)
-        w = (z[:, :, None] * x[:, None, :]).reshape(-1, n * n)  # rows z kron x
+
+    def values(zx):
+        w = (zx[:, 0, :, None] * zx[:, 1, None, :]).reshape(-1, n * n)  # rows z kron x
         q = ((w @ cm) * w).sum(axis=1)
-        hits = np.flatnonzero(q < threshold)
-        if hits.size:
-            i = int(hits[0])
-            return PositivityTestResult(True, z[i].copy(), x[i].copy(), float(q[i]), start + i + 1)
-    return PositivityTestResult(False, None, None, None, trials)
+        return q < threshold, q
+
+    t, zx, q = _first_hit(islice(_probes(n, seed), trials), values, n * n)
+    if t is None:
+        return PositivityTestResult(False, None, None, None, trials)
+    return PositivityTestResult(True, zx[0].copy(), zx[1].copy(), float(q), t + 1)
 
 
 @dataclass(frozen=True)
@@ -306,28 +282,29 @@ def c1_diagnostic(
     positivity coincide for maps whose block span is this subspace.  No
     witness can exist when dim exceeds n, and failure to find one is
     inconclusive otherwise.  Probes are the coordinate vectors, then the
-    all-ones vector, then random unit vectors seeded per trial.
+    all-ones vector, then random unit vectors seeded per trial, run through
+    the first-hit search (:func:`~prointerp.matrix_kit._first_hit`) with
+    one stacked SVD per chunk.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _need_draws(trials)
     n, k = space.n, space.dim
     if k > n:
         return C1Result(False, None, 0)
     if k == 0:
         return C1Result(True, np.eye(n)[0] if n else np.zeros(0), 1)
+    basis = np.array(space.basis)
 
     def full_rank(v):
-        m = np.column_stack([x @ v for x in space.basis])
-        s = np.linalg.svd(m, compute_uv=False)
-        return s.size and s[-1] > tol.rank_rel * s[0]
+        s = np.linalg.svd((basis @ v.T).T, compute_uv=False)  # matrix t: [X_1 v_t, ..., X_k v_t]
+        return s[:, -1] > tol.rank_rel * s[:, 0], s
 
-    probes = [*np.eye(n), np.ones(n)]
-    for t in range(trials):
-        if t < len(probes):
-            v = probes[t]
-        else:
+    def probes():
+        yield from [*np.eye(n), np.ones(n)]
+        for t in count(n + 1):
             v = np.random.default_rng([seed, t]).standard_normal(n)
-            v /= np.linalg.norm(v)
-        if full_rank(v):
-            return C1Result(True, v, t + 1)
-    return C1Result(False, None, trials)
+            yield v / np.linalg.norm(v)
+
+    t, v, _ = _first_hit(islice(probes(), trials), full_rank, n * k)
+    if t is None:
+        return C1Result(False, None, trials)
+    return C1Result(True, v.copy(), t + 1)

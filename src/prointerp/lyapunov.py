@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotLyapunovRegularError
-from .matrix_kit import DEFAULT_TOL, Tolerances, _square, as_matrix, growing_chunks, kron, psd_scale, unvec, vec
+from .matrix_kit import DEFAULT_TOL, Tolerances, _first_hit, _need_draws, _square, as_matrix, kron, psd_scale, unvec, vec
 
 __all__ = [
     "LinearMatrixMap",
@@ -199,32 +199,30 @@ def lyap_order_sample_test(
     Every sampled H is symmetric, so the trials solve L_A on symmetric
     matrices: a p x p system, p = n(n+1)/2, in the unknowns H[i, j],
     i <= j, built once per call; the n^2 x n^2 L_A is never formed.  The
-    trials run in chunks of 1, 2, 4, ...
-    (:func:`~prointerp.matrix_kit.growing_chunks`): each chunk solves the
-    upper triangles of its G G^T in one call and checks the stacked
-    K = H B + B^T H with one batched eigenvalue call.  A witness at trial 0
-    therefore costs one solve, and a clear run about log2(trials).
+    trials run through :func:`~prointerp.matrix_kit._first_hit` in chunks of
+    1, 2, 4, ...: each chunk solves the upper triangles of its G G^T in one
+    call and checks the stacked K = H B + B^T H with one batched eigenvalue
+    call.  A witness at trial 0 therefore costs one solve, and a clear run
+    about log2(trials).
     ``threads`` has no effect; it is kept only because the benchmark's
     ``perfbench/run.py`` passes ``threads=1``.
     """
+    _need_draws(trials)
     a, b = _square("order test data", a, b)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     if not is_lyapunov_regular(a, tol):
         raise NotLyapunovRegularError("base point is not Lyapunov regular")
 
     n = a.shape[0]
     lsym = _symmetric_lyap_matrix(a)
-    for start, stop in growing_chunks(trials, n * n):
-        q = np.empty((stop - start, n, n))
-        for col, t in enumerate(range(start, stop)):
-            g = np.random.default_rng([seed, t]).standard_normal((n, n))
-            q[col] = g @ g.T
+
+    def outside_b_cone(q):
         h = _solve_symmetric(lsym, q)
         k = h @ b + b.T @ h
         k = 0.5 * (k + k.transpose(0, 2, 1))
-        hits = np.flatnonzero(np.linalg.eigvalsh(k)[:, 0] < -tol.psd_rel * psd_scale(k))
-        if hits.size:
-            i = int(hits[0])
-            return OrderTestResult(True, h[i].copy(), start + i, trials)
-    return OrderTestResult(False, None, None, trials)
+        return np.linalg.eigvalsh(k)[:, 0] < -tol.psd_rel * psd_scale(k), h
+
+    draws = (np.random.default_rng([seed, t]).standard_normal((n, n)) for t in range(trials))
+    t, _, h = _first_hit((g @ g.T for g in draws), outside_b_cone, n * n)
+    if t is None:
+        return OrderTestResult(False, None, None, trials)
+    return OrderTestResult(True, h.copy(), t, trials)

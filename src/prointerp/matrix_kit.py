@@ -8,6 +8,7 @@ made once, here, from singular values against a single relative cutoff.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -33,7 +34,6 @@ __all__ = [
     "format_matrix_text",
     "loads_matrix",
     "load_matrix",
-    "growing_chunks",
 ]
 
 
@@ -150,21 +150,31 @@ def rank_nullspace_pinv(x, tol: Tolerances = DEFAULT_TOL):
 _CHUNK_ELEMENTS = 1 << 20  # 8 MiB of float64 per batched array
 
 
-def growing_chunks(total: int, width: int):
-    """Split ``range(total)`` into ``(start, stop)`` chunks of 1, 2, 4, ... items.
+def _need_draws(count: int, name: str = "trials") -> None:
+    """ValueError unless ``count`` >= 1: no sampled verdict may rest on zero draws."""
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1")
 
-    Sampling tests evaluate their trials chunk by chunk and stop at the first
-    violation, so a violation at trial 0 costs one item of work and a clear
-    run about log2(total) batched calls.  Chunk growth stops once a chunk
-    holds ``_CHUNK_ELEMENTS`` floats at ``width`` floats per item, which
-    bounds the memory of a batch.
+
+def _first_hit(probes, flag, width: int):
+    """The first of ``probes`` that ``flag`` marks, as (t, probe t, its result row), or Nones.
+
+    The probes go in chunks of 1, 2, 4, ..., each stacked into one array for
+    one call of ``flag``, which returns one bool and one result row per
+    probe.  So a hit at probe 0 costs one probe of work and a clear run
+    about log2(count) calls.  Chunk growth stops once a chunk holds
+    ``_CHUNK_ELEMENTS`` floats at ``width`` per probe, which bounds a batch.
     """
-    cap = max(1, _CHUNK_ELEMENTS // max(1, width))
+    probes, cap = iter(probes), max(1, _CHUNK_ELEMENTS // max(1, width))
     start, size = 0, 1
-    while start < total:
-        stop = min(start + size, total)
-        yield start, stop
-        start, size = stop, min(2 * size, cap)
+    while chunk := list(itertools.islice(probes, size)):
+        rows = np.array(chunk)
+        hits, out = flag(rows)
+        if hits.any():
+            i = int(np.argmax(hits))
+            return start + i, rows[i], out[i]
+        start, size = start + len(chunk), min(2 * size, cap)
+    return None, None, None
 
 
 def psd_scale(h: np.ndarray):

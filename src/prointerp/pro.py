@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotLyapunovRegularError, PoleHitError, SingularPencilError
 from .lyapunov import is_lyapunov_regular
-from .matrix_kit import DEFAULT_TOL, Tolerances, _json_numbers, _json_size, _square, as_matrix, kron
+from .matrix_kit import DEFAULT_TOL, Tolerances, _json_numbers, _json_size, _need_draws, _square, as_matrix, kron
 
 __all__ = [
     "ProRealization",
@@ -125,9 +125,11 @@ def eval_scalar(f: ProRealization, z, tol: Tolerances = DEFAULT_TOL) -> complex:
     """Evaluate f at a scalar point: :func:`_eval_pencil` at the 1 x 1 point z.
 
     Raises PoleHitError when z is within residual_abs * (1 + |z|) of an
-    eigenvalue of M.
+    eigenvalue of M, and ValueError when z is not finite.
     """
     z = complex(z)
+    if not np.isfinite(z):
+        raise ValueError(f"evaluation point must be finite, got {z}")
     gaps = np.abs(z - f.poles())
     if gaps.min(initial=np.inf) <= tol.residual_abs * (1.0 + abs(z)):
         raise PoleHitError(f"evaluation point {z} is within {gaps.min():.3e} of a pole")
@@ -191,8 +193,10 @@ def realization_checks(
     """Run the diagnostics on raw (ell, M) arrays without assuming skewness.
 
     For a genuinely skew M all three checks are theorems, so any failure
-    here signals corrupted data rather than an unlucky sample.
+    here signals corrupted data rather than an unlucky sample.  ``samples``
+    must be at least 1.
     """
+    _need_draws(samples, "samples")
     ell = as_matrix(np.reshape(ell, (1, -1)))[0]
     mm = as_matrix(m_matrix) if np.size(m_matrix) else np.zeros((0, 0))
     m = ell.size

@@ -143,6 +143,15 @@ def test_subspace_basis_validates_shapes():
     assert space.basis[0].dtype == float and space.basis[0].shape == (2, 2)
 
 
+def test_subspace_basis_rejects_complex_entries():
+    # a cast to float would drop the imaginary parts: 1j I would become the
+    # zero matrix, and membership and c1_diagnostic would run on that
+    with pytest.raises(ValueError, match="must be real"):
+        SubspaceBasis(2, (1j * np.eye(2),))
+    with pytest.raises(ValueError, match="must be real"):
+        SubspaceBasis(2, (np.eye(2), np.eye(2) + 0j))
+
+
 def stacked_bicommutant(a):
     """{A}'' by its definition: the joint nullspace of X -> X K - K X over a
     commutant basis, as orthonormal vec columns.  Reference only: the

@@ -4,6 +4,7 @@ import pytest
 from prointerp.commutant import SubspaceBasis, bicommutant_basis, membership
 from prointerp.errors import NotStarLinearError
 from prointerp.hill import (
+    C1Result,
     HillRepresentation,
     PositivityTestResult,
     _probe_search,
@@ -16,8 +17,9 @@ from prointerp.hill import (
     minimal_hill,
     positivity_sample_test,
 )
-from prointerp.lyapunov import LinearMatrixMap, lab_map
+from prointerp.lyapunov import LinearMatrixMap, lab_map, lyap_order_sample_test
 from prointerp.matrix_kit import DEFAULT_TOL, kron, vec
+from prointerp.pro import ProRealization, pro_diagnostics
 
 
 def identity_map(n):
@@ -318,13 +320,66 @@ def test_c1_witness_for_bicommutant_spans():
         assert c1_diagnostic(bicommutant_basis(a), trials=100, seed=0).found
 
 
+def reference_c1(space, trials, seed, tol=DEFAULT_TOL):
+    """The per-trial loop: coordinate vectors, the all-ones vector, then
+    random unit vectors from the (seed, t) streams, one SVD each.  Returns
+    (trials, witness)."""
+    n = space.n
+    probes = [*np.eye(n), np.ones(n)]
+    for t in range(trials):
+        if t < len(probes):
+            v = probes[t]
+        else:
+            v = np.random.default_rng([seed, t]).standard_normal(n)
+            v /= np.linalg.norm(v)
+        m = np.column_stack([x @ v for x in space.basis])
+        s = np.linalg.svd(m, compute_uv=False)
+        if s[-1] > tol.rank_rel * s[0]:
+            return t + 1, v
+    return trials, None
+
+
+def structured_blind_span(n, seed):
+    """A span of rank-one X_j = u_j w_j^T, 2 <= dim <= n, with each of the
+    n + 1 structured probes orthogonal to some w_j: {X_j v} = {(w_j . v) u_j}
+    is dependent at every structured probe and independent at almost every
+    other v."""
+    rng = np.random.default_rng(seed)
+    k = 2 + seed % (n - 1)
+    probes = np.vstack([np.eye(n), np.ones(n)])
+    basis = []
+    for j in range(k):
+        blind = probes[j::k]
+        _, _, vt = np.linalg.svd(blind)  # rows past len(blind) span the complement
+        w = rng.standard_normal(n - len(blind)) @ vt[len(blind):]
+        basis.append(np.outer(rng.standard_normal(n), w))
+    return SubspaceBasis(n, tuple(basis))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_c1_matches_per_trial_loop_past_the_structured_probes(n, seed):
+    space = structured_blind_span(n, seed)
+    count, witness = reference_c1(space, 200, seed)
+    assert n + 1 < count < 200
+    result = c1_diagnostic(space, trials=200, seed=seed)
+    assert result.found and result.trials == count
+    np.testing.assert_array_equal(result.witness, witness)
+    # one probe short of the witness, the search is inconclusive
+    assert c1_diagnostic(space, trials=count - 1, seed=seed) == C1Result(False, None, count - 1)
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_sampling_tests_need_at_least_one_trial(trials):
-    # no verdict can rest on zero probes, as in lyap_order_sample_test
+    # no verdict can rest on zero probes or samples
     with pytest.raises(ValueError, match="at least 1"):
         positivity_sample_test(transpose_map(2), trials=trials)
     with pytest.raises(ValueError, match="at least 1"):
         c1_diagnostic(upper_toeplitz_span(), trials=trials)
+    with pytest.raises(ValueError, match="at least 1"):
+        lyap_order_sample_test(np.diag([1.0, 2.0]), np.diag([2.0, 3.0]), trials=trials)
+    with pytest.raises(ValueError, match="at least 1"):
+        pro_diagnostics(ProRealization.from_state_space([1.0, 1.0], [[0.0, -1.0], [1.0, 0.0]]), samples=trials)
 
 
 def choi_block_loop(lmap):

@@ -7,9 +7,9 @@ from prointerp.errors import NotPositiveDefiniteError, NotSymmetricError
 from prointerp.matrix_kit import (
     DEFAULT_TOL,
     Tolerances,
+    _first_hit,
     eigenvalues,
     format_matrix_text,
-    growing_chunks,
     kron,
     load_matrix,
     loads_matrix,
@@ -226,9 +226,23 @@ def test_psd_scale_of_one_matrix_and_of_an_empty_one():
     assert psd_scale(np.zeros((0, 0))) == 1.0
 
 
+def chunk_bounds(total, width):
+    """The (start, stop) of each chunk that ``_first_hit`` stacks from
+    ``total`` probes, none of which is marked."""
+    bounds = []
+
+    def never(rows):
+        start = bounds[-1][1] if bounds else 0
+        bounds.append((start, start + len(rows)))
+        return np.zeros(len(rows), dtype=bool), rows
+
+    assert _first_hit(range(total), never, width) == (None, None, None)
+    return bounds
+
+
 def test_growing_chunks_double_until_the_element_cap():
-    assert list(growing_chunks(0, 4)) == []
-    assert list(growing_chunks(10, 4)) == [(0, 1), (1, 3), (3, 7), (7, 10)]
-    sizes = [stop - start for start, stop in growing_chunks(10**6, 1 << 18)]
+    assert chunk_bounds(0, 4) == []
+    assert chunk_bounds(10, 4) == [(0, 1), (1, 3), (3, 7), (7, 10)]
+    sizes = [stop - start for start, stop in chunk_bounds(10**6, 1 << 18)]
     assert sizes[:2] == [1, 2] and set(sizes[2:-1]) == {4}
     assert sum(sizes) == 10**6

@@ -140,6 +140,13 @@ def test_eval_scalar_near_pole_raises():
         eval_scalar(f, 1j * np.sqrt(8.0) + 1e-12)
 
 
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, np.inf)])
+def test_eval_scalar_rejects_non_finite_points(z):
+    # as eval_matrix does through as_matrix: nan read nan+0j, inf a pole hit
+    with pytest.raises(ValueError, match="must be finite"):
+        eval_scalar(rational_18z(), z)
+
+
 def test_eval_scalar_oddness_symmetry():
     # f(-conj(z)) = -conj(f(z)) for real rational odd functions
     rng = np.random.default_rng(1)
